@@ -25,7 +25,8 @@ from .groups import OrbitCapError
 from .orbits import (
     VectorClass,
     classify_norm,
-    projectivize,
+    projective_coords,
+    quadratic_form,
     roots_up_to_depth,
     weights_up_to_length,
 )
@@ -71,6 +72,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _max_records(args) -> int | None:
     if args.max_records is not None:
+        if args.max_records < 1:
+            raise _CliError(EXIT_PARSE, f"--max-records must be >= 1, got {args.max_records}")
         return args.max_records
     env = os.environ.get("COXPACK_MAX_MEM")
     if env:
@@ -154,11 +157,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _projective_list(vec) -> list | None:
-    p = projectivize(vec)
-    if p.at_infinity:
-        return None
-    return [float(x) for x in p.coords]
+def _projective_rows(vectors: np.ndarray, layers: np.ndarray, b: np.ndarray):
+    """Projective coordinates per row (None at infinity) and the max |B(p, p)| per layer."""
+    coords, finite = projective_coords(vectors)
+    residuals = np.abs(quadratic_form(b, coords))
+    by_layer = {
+        str(k): float(residuals[finite & (layers == k)].max()) for k in np.unique(layers[finite])
+    }
+    rows = [c if f else None for c, f in zip(coords.tolist(), finite.tolist())]
+    return rows, by_layer
 
 
 def cmd_roots(args) -> int:
@@ -166,28 +173,18 @@ def cmd_roots(args) -> int:
         raise _CliError(EXIT_PARSE, f"--depth must be >= 1, got {args.depth}")
     g = _read_graph(args.graph)
     records = roots_up_to_depth(g, args.depth, max_records=_max_records(args))
-    b = g.gram
-    residual_by_depth: dict[int, float] = {}
-    rows = []
-    for r in records:
-        proj = _projective_list(r.vector)
-        if proj is not None:
-            p = np.array(proj)
-            res = abs(float(p @ b @ p))
-            residual_by_depth[r.depth] = max(residual_by_depth.get(r.depth, 0.0), res)
-        rows.append(
-            {
-                "coords": [float(x) for x in r.vector],
-                "depth": r.depth,
-                "height": r.height,
-                "projective": proj,
-            }
-        )
+    vectors = np.array([r.vector for r in records])
+    depths = np.array([r.depth for r in records])
+    projective, residual_by_depth = _projective_rows(vectors, depths, g.gram)
+    rows = [
+        {"coords": coords, "depth": r.depth, "height": r.height, "projective": proj}
+        for r, coords, proj in zip(records, vectors.tolist(), projective)
+    ]
     doc = {
         "graph": to_compact(g),
         "max_depth": args.depth,
         "count": len(rows),
-        "quadratic_residual_by_depth": {str(k): v for k, v in sorted(residual_by_depth.items())},
+        "quadratic_residual_by_depth": residual_by_depth,
         "records": rows,
     }
     _emit(json.dumps(doc, indent=1) + "\n", args.out)
@@ -199,35 +196,28 @@ def cmd_weights(args) -> int:
         raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
     g = _read_graph(args.graph)
     records = weights_up_to_length(g, args.length, max_records=_max_records(args))
-    b = g.gram
-    residual_by_length: dict[int, float] = {}
-    rows = []
-    for r in records:
-        proj = _projective_list(r.vector)
-        if proj is not None:
-            p = np.array(proj)
-            res = abs(float(p @ b @ p))
-            residual_by_length[r.word_length] = max(
-                residual_by_length.get(r.word_length, 0.0), res
-            )
-        rows.append(
-            {
-                "coords": [float(x) for x in r.vector],
-                "word_length": r.word_length,
-                "height": float(r.vector.sum()),
-                "norm": r.norm,
-                "class": r.klass.value,
-                "color": r.color,
-                "projective": proj,
-            }
+    vectors = np.array([r.vector for r in records])
+    lengths = np.array([r.word_length for r in records])
+    projective, residual_by_length = _projective_rows(vectors, lengths, g.gram)
+    rows = [
+        {
+            "coords": coords,
+            "word_length": r.word_length,
+            "height": height,
+            "norm": r.norm,
+            "class": r.klass.value,
+            "color": r.color,
+            "projective": proj,
+        }
+        for r, coords, height, proj in zip(
+            records, vectors.tolist(), vectors.sum(axis=1).tolist(), projective
         )
+    ]
     doc = {
         "graph": to_compact(g),
         "max_length": args.length,
         "count": len(rows),
-        "quadratic_residual_by_length": {
-            str(k): v for k, v in sorted(residual_by_length.items())
-        },
+        "quadratic_residual_by_length": residual_by_length,
         "records": rows,
     }
     _emit(json.dumps(doc, indent=1) + "\n", args.out)
@@ -363,9 +353,10 @@ def cmd_enum(args) -> int:
         if not 5 <= e.rank <= args.max_rank:
             problems.append(f"rank {e.rank} outside 5..{args.max_rank}")
             break
+    labels = census_mod.ADMISSIBLE_LABELS
     for e in entries:
-        if any(lab.m not in (3, 4, 5, 6) for _, _, lab in e.graph.edges):
-            problems.append("label outside {3,4,5,6}")
+        if any(lab.m not in labels for _, _, lab in e.graph.edges):
+            problems.append(f"label outside {{{','.join(map(str, labels))}}}")
             break
     if problems:
         for p in problems:

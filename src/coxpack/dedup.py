@@ -1,11 +1,12 @@
 """Tolerance-verified deduplication of float vectors.
 
-Orbit generation keeps revisiting the same algebraic vectors through
-different floating-point histories.  Plain grid quantization can split one
-vector into two keys when a coordinate lands near a grid boundary, so the
-store buckets rows on a coarse grid, probes every cell a match could occupy,
-and confirms candidates with an exact infinity-norm comparison.  Matching is
-therefore independent of where grid boundaries fall.
+The group-element and chamber sweeps behind the tangency graph keep
+revisiting the same algebraic vectors through different floating-point
+histories.  Plain grid quantization can split one vector into two keys when
+a coordinate lands near a grid boundary, so the store buckets rows on a
+coarse grid, probes every cell a match could occupy, and confirms candidates
+with an exact infinity-norm comparison.  Matching is therefore independent
+of where grid boundaries fall.
 """
 
 from __future__ import annotations
@@ -87,18 +88,3 @@ class VectorStore:
         home = np.floor((v + _OFFSET) / _GRID).astype(np.int64).tobytes()
         self._buckets.setdefault(home, []).append(idx)
         return idx, True
-
-
-def unique_rows(arr: np.ndarray, grid: float = 1e-9) -> np.ndarray:
-    """Cheap exact-key prefilter: one representative per grid-identical row group.
-
-    Representatives are returned in first-appearance order.  Rows that differ
-    by floating-point noise across a grid boundary survive the prefilter and
-    are merged later by a VectorStore.
-    """
-    if arr.shape[0] == 0:
-        return arr
-    keys = np.rint(arr / grid)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    first.sort()
-    return arr[first]

@@ -86,6 +86,14 @@ def test_roots_cap_exceeded(graph_file, capsys, universal4):
     assert code == 5 and "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_records_below_one_is_usage_error(graph_file, capsys, universal4, cap):
+    for cmd in (["roots", "--depth", "3"], ["weights", "--length", "2"]):
+        argv = [cmd[0], graph_file(universal4), *cmd[1:], "--max-records", cap]
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "--max-records" in err
+
+
 def test_roots_env_cap(graph_file, capsys, universal4, monkeypatch):
     monkeypatch.setenv("COXPACK_MAX_MEM", "4096")
     code, _, err = run(capsys, ["roots", graph_file(universal4), "--depth", "8"])

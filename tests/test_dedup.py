@@ -1,6 +1,6 @@
 import numpy as np
 
-from coxpack.dedup import VectorStore, unique_rows
+from coxpack.dedup import VectorStore
 
 
 def test_store_basic():
@@ -42,11 +42,3 @@ def test_store_distinguishes_beyond_tolerance():
     a, _ = store.add(np.array([0.5, 0.5]))
     b, new = store.add(np.array([0.5 + 1e-5, 0.5]))
     assert new and b != a
-
-
-def test_unique_rows_prefilter():
-    arr = np.array([[0.1, 0.2], [0.1, 0.2], [0.3, 0.4], [0.1, 0.2]])
-    out = unique_rows(arr)
-    assert out.shape == (2, 2)
-    assert np.allclose(out[0], [0.1, 0.2])
-    assert np.allclose(out[1], [0.3, 0.4])
