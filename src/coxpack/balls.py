@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .forms import DEFAULT_ZERO_TOL, NotLorentzianError, signature
-from .orbits import VectorClass, WeightRecord, ProjectivePoint, bilinear, normalize_spacelike
+from .orbits import ProjectivePoint, bilinear, normalize_spacelike, spacelike_unit_rows
 
 _ALGEBRAIC_TOL = 1e-9
 _ANGULAR_TOL = 1e-6
@@ -201,22 +201,6 @@ def stereographic(cap: SphericalCap, pole_axis: int) -> EuclideanBall:
     return EuclideanBall(kappa, kc)
 
 
-def _spacelike_unit_rows(weights) -> tuple[np.ndarray, list[int]]:
-    rows = []
-    ids = []
-    for i, w in enumerate(weights):
-        if isinstance(w, WeightRecord):
-            if w.klass is not VectorClass.SPACE_LIKE:
-                continue
-            rows.append(w.vector / math.sqrt(w.norm))
-            ids.append(i)
-        else:
-            raise TypeError(f"expected WeightRecord, got {type(w).__name__}")
-    if rows:
-        return np.array(rows), ids
-    return np.empty((0, 0)), ids
-
-
 def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> ClusterReport:
     """Pairwise separation audit of the balls of the space-like weights.
 
@@ -225,7 +209,7 @@ def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> Clu
     intersections) are listed separately since no reflection orbit should
     produce them.
     """
-    unit, ids = _spacelike_unit_rows(weights)
+    unit, ids = spacelike_unit_rows(weights)
     if len(ids) < 2:
         return ClusterReport(True, math.inf, (), ())
     k = unit.shape[0]
@@ -263,7 +247,7 @@ def residual_margin(p: ProjectivePoint, weights, b: np.ndarray) -> float:
     """min over ball normals of B(p, normal); negative inside some ball interior."""
     if p.at_infinity:
         raise ValueError("residual margin is defined for affine points only")
-    unit, ids = _spacelike_unit_rows(weights)
+    unit, ids = spacelike_unit_rows(weights)
     if not ids:
         return math.inf
     return float((unit @ (b @ p.coords)).min())
@@ -274,7 +258,7 @@ def residual_margins(points, weights, b: np.ndarray) -> np.ndarray:
     pts = [p.coords for p in points]
     if any(p.at_infinity for p in points):
         raise ValueError("residual margins are defined for affine points only")
-    unit, ids = _spacelike_unit_rows(weights)
+    unit, ids = spacelike_unit_rows(weights)
     if not pts:
         return np.empty(0)
     if not ids:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .forms import DEFAULT_ZERO_TOL, fundamental_weights, level
+from .forms import _EIG_CHUNK, DEFAULT_ZERO_TOL, fundamental_weights, level, minors_psd
 from .graphs import (
     CoxeterGraph,
     EdgeLabel,
@@ -27,10 +27,14 @@ from .graphs import (
     cycle_graph,
     to_compact,
 )
-from .tangency import InconsistencyError, is_strict_level2
+from .tangency import (
+    InconsistencyError,
+    VertexClass,
+    classify_weight_norm,
+    is_strict_level2,
+)
 
 ADMISSIBLE_LABELS = (3, 4, 5, 6)
-_EIG_CHUNK = 8192
 
 
 class Family(Enum):
@@ -126,14 +130,6 @@ def _path_order(g: CoxeterGraph) -> list[int]:
 # cycle hangs a pendant edge on an unlabeled (all-3) cycle, the only
 # positive-semidefinite cycles.
 # ---------------------------------------------------------------------------
-
-
-def _batch_min_eig(grams: np.ndarray) -> np.ndarray:
-    out = np.empty(grams.shape[0])
-    for lo in range(0, grams.shape[0], _EIG_CHUNK):
-        hi = min(grams.shape[0], lo + _EIG_CHUNK)
-        out[lo:hi] = np.linalg.eigvalsh(grams[lo:hi])[:, 0]
-    return out
 
 
 def _catalog_level01(max_n: int, labels, zero_tol: float):
@@ -352,27 +348,13 @@ def nominate(
 
 def _filter_level2_arrays(grams: np.ndarray, zero_tol: float) -> np.ndarray:
     """Indices of the stacked Gram matrices that belong to level-2 graphs."""
-    count, n, _ = grams.shape
-    alive = np.arange(count)
-    # full matrix must fail positive semidefiniteness
-    alive = alive[_batch_min_eig(grams[alive]) < -zero_tol]
-    if alive.size == 0:
-        return alive
-    # some single-vertex deletion must also fail it
-    bad_minor = np.zeros(alive.size, dtype=bool)
-    for v in range(n):
-        idx = np.array([i for i in range(n) if i != v])
-        sub = grams[alive][:, idx[:, None], idx[None, :]]
-        bad_minor |= _batch_min_eig(sub) < -zero_tol
-    alive = alive[bad_minor]
-    # every two-vertex deletion must be positive semidefinite
-    for u, v in combinations(range(n), 2):
-        if alive.size == 0:
-            break
-        idx = np.array([i for i in range(n) if i not in (u, v)])
-        sub = grams[alive][:, idx[:, None], idx[None, :]]
-        alive = alive[_batch_min_eig(sub) >= -zero_tol]
-    return alive
+    alive = np.arange(grams.shape[0])
+    # the full matrix must fail positive semidefiniteness
+    alive = alive[~minors_psd(grams, 0, zero_tol)]
+    # so must some single-vertex deletion
+    alive = alive[~minors_psd(grams[alive], 1, zero_tol)]
+    # and every two-vertex deletion must pass it
+    return alive[minors_psd(grams[alive], 2, zero_tol)]
 
 
 def _filter_level2(
@@ -421,20 +403,15 @@ def _filter_level2_parallel(grams: np.ndarray, zero_tol: float, jobs: int) -> np
 
 def _make_entry(g: CoxeterGraph, key: bytes, family: Family, zero_tol: float) -> CensusEntry:
     _, norms = fundamental_weights(g.gram)
-    n_im = n_re = n_su = 0
-    for norm in norms:
-        if norm > 1.0 + 1e-9:
-            raise InconsistencyError(
-                f"level-2 graph {to_compact(g)} has weight norm {norm} > 1"
-            )
-        if abs(norm - 1.0) <= 1e-9:
-            n_su += 1
-        elif norm <= 1e-9:
-            n_im += 1
-        else:
-            n_re += 1
+    roles = [classify_weight_norm(norm, level2=True) for norm in norms]
     return CensusEntry(
-        g, key, family, is_strict_level2(g, zero_tol), n_im, n_re, n_su
+        g,
+        key,
+        family,
+        is_strict_level2(g, zero_tol),
+        roles.count(VertexClass.IMAGINARY),
+        roles.count(VertexClass.REAL),
+        roles.count(VertexClass.SURREAL),
     )
 
 

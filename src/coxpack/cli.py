@@ -34,6 +34,7 @@ from .render import RenderSpec, svg_packing
 from .tangency import (
     InconsistencyError,
     LevelError,
+    classify_weight_norm,
     geometric_oracle,
     is_strict_level2,
     tangency_graph,
@@ -114,23 +115,15 @@ def cmd_classify(args) -> int:
     except SingularFormError:
         info["weights"] = None
     else:
-        from .tangency import classify_weight_norm
-
-        weights = []
-        for s, norm in enumerate(norms):
-            if lv == 2 and norm > 1.0 + 1e-9:
-                raise InconsistencyError(
-                    f"level-2 graph has fundamental weight norm {norm} > 1"
-                )
-            weights.append(
-                {
-                    "color": s,
-                    "norm": float(norm),
-                    "class": classify_norm(norm, norm).value,
-                    "role": classify_weight_norm(norm).value,
-                }
-            )
-        info["weights"] = weights
+        info["weights"] = [
+            {
+                "color": s,
+                "norm": float(norm),
+                "class": classify_norm(norm, norm).value,
+                "role": classify_weight_norm(norm, level2=lv == 2).value,
+            }
+            for s, norm in enumerate(norms)
+        ]
 
     if args.format == "json":
         _emit(json.dumps(info, indent=1) + "\n", args.out)
@@ -293,12 +286,8 @@ def cmd_pack(args) -> int:
 def cmd_tangency(args) -> int:
     g = _read_graph(args.graph)
     tg = tangency_graph(g, args.length, args.tol, max_records=_max_records(args))
-    records = [
-        # oracle runs on the same vertex set the complex produced
-        r
-        for r in _vertex_records(tg)
-    ]
-    oracle = geometric_oracle(records, g.gram)
+    # the oracle runs on the same vertex set the complex produced
+    oracle = geometric_oracle(tg.vertices, g.gram)
     oracle_ids = {
         (min(tg.vertices[a].id, tg.vertices[b].id), max(tg.vertices[a].id, tg.vertices[b].id))
         for a, b in oracle
@@ -327,17 +316,6 @@ def cmd_tangency(args) -> int:
     }
     _emit(json.dumps(doc, indent=1) + "\n", args.out)
     return 0
-
-
-def _vertex_records(tg):
-    from .orbits import WeightRecord
-
-    out = []
-    for v in tg.vertices:
-        out.append(
-            WeightRecord(v.vector, v.word_length, v.norm, VectorClass.SPACE_LIKE, v.color)
-        )
-    return out
 
 
 def cmd_enum(args) -> int:
@@ -378,7 +356,9 @@ def cmd_enum(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-3, help="eigenvalue zero tolerance")
+    common.add_argument(
+        "--tol", type=float, default=1e-3, help="eigenvalue zero tolerance (finite, > 0)"
+    )
     common.add_argument("--jobs", type=int, default=1, help="parallel workers (enum only)")
     common.add_argument(
         "--max-records", type=int, default=None, help="cap orbit record counts"
@@ -434,6 +414,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise _CliError(EXIT_PARSE, f"--tol must be finite and > 0, got {args.tol}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -12,6 +13,7 @@ from .graphs import CoxeterGraph
 
 DEFAULT_ZERO_TOL = 1e-3
 _SYMMETRY_TOL = 1e-12
+_EIG_CHUNK = 8192  # matrices per eigvalsh call
 
 
 class FormError(ValueError):
@@ -54,10 +56,14 @@ def _check_gram(b) -> np.ndarray:
     return b
 
 
+def _check_tol(zero_tol: float) -> None:
+    if not (math.isfinite(zero_tol) and zero_tol > 0):
+        raise ValueError(f"zero_tol must be finite and positive, got {zero_tol}")
+
+
 def signature(b, zero_tol: float = DEFAULT_ZERO_TOL) -> Signature:
     """Eigenvalue sign counts of a symmetric matrix, with |lambda| <= zero_tol as zero."""
-    if not zero_tol > 0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
+    _check_tol(zero_tol)
     b = _check_gram(b)
     w = np.linalg.eigvalsh(b)
     n_minus = int(np.sum(w < -zero_tol))
@@ -79,23 +85,54 @@ def classify_type(g: CoxeterGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> TypeCl
     return classify_gram(g.gram, zero_tol)
 
 
-def _psd(b: np.ndarray, zero_tol: float) -> bool:
-    return float(np.linalg.eigvalsh(b)[0]) >= -zero_tol
+def minors_psd(
+    grams, k: int, zero_tol: float = DEFAULT_ZERO_TOL, finite: bool = False
+) -> np.ndarray:
+    """Mask of the stacked Gram matrices whose every k-vertex deletion passes.
+
+    A principal minor on n - k vertices passes when its minimum eigenvalue
+    is >= -zero_tol (finite or affine), or with finite=True > zero_tol
+    (finite).  Minors go to eigvalsh about _EIG_CHUNK at a time: while many
+    matrices remain, one deletion across all of them; while few remain, a
+    block of deletions each.  A matrix drops out at its first failing block.
+    """
+    _check_tol(zero_tol)
+    grams = np.asarray(grams, dtype=float)
+    count, n = grams.shape[0], grams.shape[-1]
+    if not 0 <= k < n:
+        raise ValueError(f"deletion count k must satisfy 0 <= k < {n}, got {k}")
+    keeps = np.array(list(combinations(range(n), n - k)))
+    alive = np.arange(count)
+    done = 0
+    while done < len(keeps) and alive.size:
+        block = keeps[done : done + max(1, _EIG_CHUNK // alive.size)]
+        done += len(block)
+        minors = grams[
+            alive[:, None, None, None], block[None, :, :, None], block[None, :, None, :]
+        ].reshape(-1, n - k, n - k)
+        low = np.concatenate(
+            [
+                np.linalg.eigvalsh(minors[lo : lo + _EIG_CHUNK])[:, 0]
+                for lo in range(0, len(minors), _EIG_CHUNK)
+            ]
+        ).reshape(alive.size, len(block))
+        ok = low > zero_tol if finite else low >= -zero_tol
+        alive = alive[ok.all(axis=1)]
+    mask = np.zeros(count, dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def is_level_at_most(g: CoxeterGraph, r: int, zero_tol: float = DEFAULT_ZERO_TOL) -> bool:
-    """True when every induced subgraph on rank - r vertices is finite or affine."""
+    """True when every induced subgraph on rank - r vertices is finite or affine.
+
+    That is, every principal minor of the Gram matrix on rank - r vertices
+    is positive semidefinite up to zero_tol; one minors_psd call decides it.
+    """
     n = g.rank
     if not 0 <= r < n:
         raise ValueError(f"level bound r must satisfy 0 <= r < {n}, got {r}")
-    b = g.gram
-    if r == 0:
-        return _psd(b, zero_tol)
-    for keep in combinations(range(n), n - r):
-        idx = np.fromiter(keep, dtype=int)
-        if not _psd(b[np.ix_(idx, idx)], zero_tol):
-            return False
-    return True
+    return bool(minors_psd(g.gram[None], r, zero_tol)[0])
 
 
 def level(g: CoxeterGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> int:

@@ -50,6 +50,23 @@ class WeightRecord:
     color: int
 
 
+def spacelike_unit_rows(weights) -> tuple[np.ndarray, list[int]]:
+    """Rows w.vector / sqrt(w.norm) of the space-like weights, and their positions.
+
+    Takes weight records, or anything else with a vector, a norm and a klass
+    (the vertices of a Coxeter complex).  The rows are B-unit normals of the
+    weights' balls; with no space-like weight there are none.
+    """
+    rows, ids = [], []
+    dim = 0
+    for i, w in enumerate(weights):
+        dim = len(w.vector)
+        if w.klass is VectorClass.SPACE_LIKE:
+            rows.append(w.vector / math.sqrt(w.norm))
+            ids.append(i)
+    return np.array(rows).reshape(len(ids), dim), ids
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     coords: np.ndarray | None

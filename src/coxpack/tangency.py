@@ -8,17 +8,16 @@ come in two kinds: pairs inside a common chamber whose normalized product is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dedup import VectorStore
-from .forms import DEFAULT_ZERO_TOL, fundamental_weights, level
+from .forms import DEFAULT_ZERO_TOL, fundamental_weights, level, minors_psd
 from .graphs import CoxeterGraph
 from .groups import GroupBFS
-from .orbits import VectorClass, WeightRecord, bilinear, classify_norm
+from .orbits import VectorClass, WeightRecord, bilinear, classify_norm, spacelike_unit_rows
 
 _TANGENCY_TOL = 1e-9
 
@@ -46,6 +45,11 @@ class ComplexVertex:
     norm: float
     vclass: VertexClass
 
+    @property
+    def klass(self) -> VectorClass:
+        """Space-like for real and surreal vertices, as for a weight record."""
+        return classify_norm(self.norm, self.norm)
+
 
 @dataclass(frozen=True)
 class Chamber:
@@ -61,18 +65,6 @@ class CoxeterComplex:
     chambers: tuple[Chamber, ...]
     vertices: tuple[ComplexVertex, ...]
     adjacency: tuple[dict[int, int], ...]
-
-    def vertex_records(self) -> list[WeightRecord]:
-        """The vertex set as weight records (for the geometric oracle)."""
-        out = []
-        for v in self.vertices:
-            klass = (
-                VectorClass.SPACE_LIKE
-                if v.vclass is not VertexClass.IMAGINARY
-                else classify_norm(v.norm, v.norm)
-            )
-            out.append(WeightRecord(v.vector, v.word_length, v.norm, klass, v.color))
-        return out
 
 
 @dataclass(frozen=True)
@@ -93,6 +85,13 @@ class TangencyGraph:
 
 
 def classify_weight_norm(norm: float, level2: bool = False) -> VertexClass:
+    """Role of a fundamental weight of norm B(omega, omega).
+
+    Imaginary at norm <= 0, surreal at norm 1 and real otherwise, each
+    decided up to 1e-9; every weight role in the library comes from here.
+    A norm above 1 is real, except on a level-2 system (level2=True), where
+    it is impossible and raises InconsistencyError.
+    """
     if norm > 1.0 + _TANGENCY_TOL:
         if level2:
             raise InconsistencyError(
@@ -197,10 +196,10 @@ def tangency_graph(
         if v.vclass is not VertexClass.IMAGINARY and v.word_length <= max_length
     }
 
+    # vertex ids are positions in cx.vertices
+    rows, ids = spacelike_unit_rows(cx.vertices)
     unit = np.zeros((len(cx.vertices), n))
-    for v in cx.vertices:
-        if v.vclass is not VertexClass.IMAGINARY:
-            unit[v.id] = v.vector / math.sqrt(v.norm)
+    unit[ids] = rows
     bunit = unit @ b
 
     edges: set[tuple[int, int, str]] = set()
@@ -216,8 +215,10 @@ def tangency_graph(
                 if a in seen and c in seen:
                     edges.add((min(a, c), max(a, c), "real"))
 
+    # fundamental weights are the vertices of the identity chamber
+    fund = cx.chambers[0].vertices
     surreal_colors = [
-        s for s in range(n) if abs(_fund_norm(cx, s) - 1.0) <= _TANGENCY_TOL
+        s for s in range(n) if cx.vertices[fund[s]].vclass is VertexClass.SURREAL
     ]
     if surreal_colors:
         for eid, chamber in enumerate(cx.chambers):
@@ -235,45 +236,23 @@ def tangency_graph(
     return TangencyGraph(verts, out, max_length)
 
 
-def _fund_norm(cx: CoxeterComplex, color: int) -> float:
-    # fundamental weights are the vertices of the identity chamber
-    vid = cx.chambers[0].vertices[color]
-    return cx.vertices[vid].norm
-
-
 def geometric_oracle(weights, b: np.ndarray, tol: float = _TANGENCY_TOL) -> set[tuple[int, int]]:
     """All index pairs of space-like weights whose separation is 1, found directly."""
-    rows = []
-    idx = []
-    for i, w in enumerate(weights):
-        if w.klass is VectorClass.SPACE_LIKE:
-            rows.append(w.vector / math.sqrt(w.norm))
-            idx.append(i)
-    if len(rows) < 2:
+    unit, idx = spacelike_unit_rows(weights)
+    if len(idx) < 2:
         return set()
-    unit = np.array(rows)
-    prods = unit @ b @ unit.T
-    pairs: set[tuple[int, int]] = set()
-    hit = np.abs(prods + 1.0) <= tol
-    for a in range(len(rows)):
-        for c in range(a + 1, len(rows)):
-            if hit[a, c]:
-                pairs.add((idx[a], idx[c]))
-    return pairs
+    hit = np.abs(unit @ b @ unit.T + 1.0) <= tol
+    rows, cols = np.nonzero(np.triu(hit, 1))
+    return {(idx[a], idx[c]) for a, c in zip(rows.tolist(), cols.tolist())}
 
 
 def is_strict_level2(g: CoxeterGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> bool:
-    """True when deleting any two vertices leaves a finite (not just affine) graph."""
-    from itertools import combinations
+    """True when deleting any two vertices leaves a finite (not just affine) graph.
 
-    from .forms import TypeClass, classify_gram
-
+    Finite means every eigenvalue of the minor exceeds zero_tol, the strict
+    side of classify_gram's test; minors_psd(..., finite=True) decides it for
+    all two-vertex deletions at once.
+    """
     if level(g, zero_tol) != 2:
         raise LevelError("strictness is defined for level-2 systems")
-    b = g.gram
-    n = g.rank
-    for keep in combinations(range(n), n - 2):
-        idx = np.fromiter(keep, dtype=int)
-        if classify_gram(b[np.ix_(idx, idx)], zero_tol) is not TypeClass.FINITE:
-            return False
-    return True
+    return bool(minors_psd(g.gram[None], 2, zero_tol, finite=True)[0])

@@ -221,3 +221,18 @@ def test_census_report(census_entries):
         sum(e.n_real for e in census_entries),
         sum(e.n_surreal for e in census_entries),
     )
+
+
+def test_entry_roles_match_classifier(census_entries):
+    from collections import Counter
+
+    from coxpack.tangency import VertexClass, classify_weight_norm
+
+    for e in census_entries:
+        _, norms = cp.fundamental_weights(e.graph.gram)
+        roles = Counter(classify_weight_norm(norm, level2=True) for norm in norms)
+        assert (e.n_imaginary, e.n_real, e.n_surreal) == (
+            roles[VertexClass.IMAGINARY],
+            roles[VertexClass.REAL],
+            roles[VertexClass.SURREAL],
+        )

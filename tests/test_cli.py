@@ -214,3 +214,39 @@ def test_enum_strict_only(tmp_path, capsys):
     assert code == 0
     rows = out_csv.read_text().strip().splitlines()[1:]
     assert all(",true," in r for r in rows)
+
+
+BAD_TOLS = ["0", "-1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["classify"],
+        ["roots", "--depth", "2"],
+        ["weights", "--length", "1"],
+        ["pack", "--length", "1"],
+        ["tangency", "--length", "1"],
+        ["enum", "--max-rank", "5"],
+    ],
+)
+def test_bad_tol_is_usage_error(graph_file, capsys, tmp_path, fig1a, cmd, tol):
+    args = [cmd[0]] if cmd[0] == "enum" else [cmd[0], graph_file(fig1a)]
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, [*args, *cmd[1:], "--tol", tol, "--out", str(out)])
+    assert code == 2 and "--tol" in err
+    assert not stdout and not out.exists()
+
+
+def test_classify_json_roles_match_classifier(tmp_path, capsys):
+    from coxpack.tangency import VertexClass, classify_weight_norm
+
+    path = tmp_path / "g.txt"
+    path.write_text("n=5; 0-1:3 0-2:4 1-3:6 3-4:3")  # SURREAL_GRAPH of test_tangency.py
+    code, out, _ = run(capsys, ["classify", str(path), "--format", "json"])
+    assert code == 0
+    _, norms = cp.fundamental_weights(cp.load_graph(path.read_text()).gram)
+    roles = [classify_weight_norm(norm, level2=True) for norm in norms]
+    assert VertexClass.SURREAL in roles
+    assert [w["role"] for w in json.loads(out)["weights"]] == [r.value for r in roles]
