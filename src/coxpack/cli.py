@@ -284,15 +284,12 @@ def cmd_pack(args) -> int:
 
 
 def cmd_tangency(args) -> int:
+    if args.length < 0:
+        raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
     g = _read_graph(args.graph)
     tg = tangency_graph(g, args.length, args.tol, max_records=_max_records(args))
-    # the oracle runs on the same vertex set the complex produced
-    oracle = geometric_oracle(tg.vertices, g.gram)
-    oracle_ids = {
-        (min(tg.vertices[a].id, tg.vertices[b].id), max(tg.vertices[a].id, tg.vertices[b].id))
-        for a, b in oracle
-    }
-    agrees = oracle_ids == tg.edge_set()
+    # vertex ids are positions in tg.vertices, the indices the oracle reports
+    agrees = geometric_oracle(tg.vertices, g.gram) == tg.edge_set()
 
     if args.format == "edges":
         lines = [f"{e.u} {e.v} {e.tag}" for e in tg.edges]

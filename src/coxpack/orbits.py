@@ -114,17 +114,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _zero_tol(vectors: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row bound at or below which B(v, alpha_j) counts as zero.
+    """Bound at or below which B(v, alpha_j) counts as zero, per row v of the last axis.
 
     B(v, alpha_j) sums terms of size at most |v|_1 * max|B|, and its
     rounding error grows with them; scaling the bound by that sum keeps
     the test meaningful on long orbit vectors.
     """
-    return _ZERO_RTOL * np.abs(vectors).sum(axis=1) * np.abs(b).max()
+    return _ZERO_RTOL * np.abs(vectors).sum(axis=-1) * np.abs(b).max()
 
 
-def _orbit_layers(b: np.ndarray, start: np.ndarray, sign: int):
-    """Layers of a canonical-parent orbit tree as (vectors, colors) arrays.
+def _orbit_layers(
+    b: np.ndarray,
+    start: np.ndarray,
+    sign: int,
+    ends: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
+    max_length: int | None = None,
+):
+    """Layers of a canonical-parent orbit tree as (vectors, colors, ends, lengths) arrays.
 
     Row k of `start` has color k.  With u = sign * B(v, alpha_.), the
     children of v are s_i v for each i with u_i > 0.  A child keeps only
@@ -132,13 +139,27 @@ def _orbit_layers(b: np.ndarray, start: np.ndarray, sign: int):
     B(child, alpha_j) < 0}, so each orbit point appears once, one layer
     below that parent.  sign = -1 lays out the positive roots by depth
     from the simple roots (depth lemma); sign = +1 lays out the orbits of
-    the fundamental weights by minimal coset length.  The generator is
-    endless unless an orbit is finite; the caller stops it.
+    the fundamental weights by minimal coset length.
+
+    A point may carry endpoint rows, `ends` of shape (m, k, n), reflected
+    along with it, and their weight lengths `lengths` of shape (m, k).  A
+    step s_i adds 1 to an endpoint's length when sign * B(endpoint,
+    alpha_i) > 0 and leaves it otherwise; no point with an endpoint longer
+    than max_length is yielded or expanded.  Without max_length the
+    generator is endless unless an orbit is finite; the caller stops it.
     """
     layer = np.array(start, dtype=float)
     colors = np.arange(len(layer))
-    while len(layer):
-        yield layer, colors
+    if ends is None:
+        ends, lengths = np.empty((len(layer), 0, len(b))), np.empty((len(layer), 0))
+    ends, lengths = np.array(ends, dtype=float), np.array(lengths, dtype=int)
+    while True:
+        if max_length is not None:
+            ok = (lengths <= max_length).all(axis=1)
+            layer, colors, ends, lengths = layer[ok], colors[ok], ends[ok], lengths[ok]
+        if not len(layer):
+            return
+        yield layer, colors, ends, lengths
         u = sign * (layer @ b)
         rows, cols = np.nonzero(u > _zero_tol(layer, b)[:, None])
         k = np.arange(len(rows))
@@ -147,17 +168,51 @@ def _orbit_layers(b: np.ndarray, start: np.ndarray, sign: int):
         descents = sign * (children @ b) < -_zero_tol(children, b)[:, None]
         descents[k, cols] = True  # exact: sign * B(s_i v, alpha_i) = -u_i < 0
         keep = descents.argmax(axis=1) == cols
-        layer, colors = children[keep], colors[rows[keep]]
+        rows, cols, layer = rows[keep], cols[keep], children[keep]
+        colors, ends, lengths = colors[rows], ends[rows], lengths[rows]
+        if ends.shape[1]:
+            ue = sign * np.einsum("mkn,nm->mk", ends, b[:, cols])
+            lengths += ue > _zero_tol(ends, b)
+            m = np.arange(len(rows))[:, None]
+            ends[m, np.arange(ends.shape[1]), cols[:, None]] -= (2.0 * sign) * ue
 
 
-def _capped(layers, count: int, max_records: int | None, what: str):
-    """The first `count` layers; OrbitCapError once their total exceeds max_records."""
-    total = 0
-    for layer, colors in islice(layers, count):
+def _capped(layers, count: int | None, max_records: int | None, what: str, total: int = 0):
+    """The first `count` layers (all of them for None).
+
+    OrbitCapError once `total` plus their records exceed max_records.
+    """
+    for layer, *rest in islice(layers, count):
         total += len(layer)
         if max_records is not None and total > max_records:
             raise OrbitCapError(what, max_records)
-        yield layer, colors
+        yield layer, *rest
+
+
+def _descent_words(b: np.ndarray, vectors: np.ndarray, steps: int) -> np.ndarray:
+    """Canonical descent word of each weight row, padded with -1, up to `steps` letters.
+
+    Letter k is the smallest j with B(v, alpha_j) < 0 after the first k
+    letters have been applied as reflections; the word ends where v turns
+    dominant.  It is the path of _orbit_layers (sign = +1) from the
+    fundamental weight to v, read backwards, so two weights of one color
+    are equal exactly when their words are.
+    """
+    v = np.array(vectors, dtype=float)
+    words = np.full((len(v), steps), -1, dtype=np.int16)
+    active = np.arange(len(v))
+    for k in range(steps):
+        rows = v[active]
+        u = rows @ b
+        neg = u < -_zero_tol(rows, b)[:, None]
+        down = neg.any(axis=1)
+        active, u, neg = active[down], u[down], neg[down]
+        if not len(active):
+            break
+        j = neg.argmax(axis=1)
+        words[active, k] = j
+        v[active, j] -= 2.0 * u[np.arange(len(active)), j]
+    return words
 
 
 def quadratic_form(b: np.ndarray, vectors) -> np.ndarray:
@@ -182,7 +237,7 @@ def roots_up_to_depth(
         raise ValueError(f"depth must be >= 1, got {depth}")
     records: list[RootRecord] = []
     layers = _orbit_layers(g.gram, np.eye(g.rank), -1)
-    for d, (layer, _) in enumerate(_capped(layers, depth, max_records, "root generation"), 1):
+    for d, (layer, *_) in enumerate(_capped(layers, depth, max_records, "root generation"), 1):
         heights = layer.sum(axis=1).tolist()
         records += [RootRecord(v, d, h) for v, h in zip(_frozen(layer), heights)]
     return records
@@ -213,7 +268,7 @@ def weights_up_to_length(
     fund, fund_norms = fundamental_weights(b)
     records: list[WeightRecord] = []
     layers = _orbit_layers(b, fund, +1)
-    for ell, (layer, colors) in enumerate(
+    for ell, (layer, colors, *_) in enumerate(
         _capped(layers, length + 1, max_records, "weight generation")
     ):
         norms = quadratic_form(b, layer).tolist()
@@ -286,7 +341,7 @@ def limit_sample(
         raise TypeError(f"source must be RootSource or WeightSource, got {source!r}")
 
     shell = np.empty((0, g.rank))
-    for k, (layer, _) in enumerate(_capped(layers, count, max_records, what), 1):
+    for k, (layer, *_) in enumerate(_capped(layers, count, max_records, what), 1):
         if k == count:
             shell = layer
     coords, finite = projective_coords(shell)

@@ -1,23 +1,34 @@
-"""Chambers of the Coxeter complex and tangency graphs of level-2 packings.
+"""Tangency graphs of level-2 packings, and chambers of the Coxeter complex.
 
-Chambers are group elements; the vertices of a chamber are the images of the
-fundamental weights, colored by which weight they come from.  Tangency edges
-come in two kinds: pairs inside a common chamber whose normalized product is
--1, and same-color pairs across a shared panel whose color has norm 1.
+The vertices of the chamber of a group element w are the images w(omega_s)
+of the fundamental weights, colored by s.  Tangency edges come in two kinds:
+pairs inside a common chamber whose normalized product is -1, and same-color
+pairs across a shared panel whose color has norm 1.  `tangency_graph` reads
+both off orbits of dominant weights without enumerating chambers;
+`chambers_up_to_length` builds the explicit complex.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dedup import VectorStore
 from .forms import DEFAULT_ZERO_TOL, fundamental_weights, level, minors_psd
 from .graphs import CoxeterGraph
-from .groups import GroupBFS
-from .orbits import VectorClass, WeightRecord, bilinear, classify_norm, spacelike_unit_rows
+from .orbits import (
+    VectorClass,
+    WeightRecord,
+    _capped,
+    _descent_words,
+    _frozen,
+    _orbit_layers,
+    bilinear,
+    classify_norm,
+    spacelike_unit_rows,
+)
 
 _TANGENCY_TOL = 1e-9
 
@@ -122,7 +133,9 @@ def chambers_up_to_length(
     Vertex ids are assigned by deduplicating weight vectors across chambers,
     so stabilizer repeats collapse to a single vertex of a single color.
     """
+    from .dedup import VectorStore
     from .forms import TypeClass, classify_gram
+    from .groups import GroupBFS
 
     b = g.gram
     if require_lorentzian and classify_gram(b, DEFAULT_ZERO_TOL) is not TypeClass.LORENTZIAN:
@@ -170,70 +183,96 @@ def tangency_graph(
     max_length: int,
     zero_tol: float = DEFAULT_ZERO_TOL,
     max_records: int | None = None,
-    witness_margin: int = 3,
 ) -> TangencyGraph:
-    """Tangency graph restricted to the vertices seen by length-bounded chambers.
+    """Tangency graph on the real and surreal vertices of word length <= max_length.
 
-    The result is the induced subgraph of the infinite tangency graph on the
-    real and surreal vertices first seen by chambers of length <= max_length.
-    An edge between two seen vertices can be witnessed only inside a common
-    (or, for surreal pairs, adjacent) chamber, which may sit slightly deeper
-    than either endpoint; chambers are therefore explored to
-    max_length + witness_margin.  The geometric oracle cross-check guards the
-    margin at the scales the artifact exercises.
+    The result is the induced subgraph of the infinite tangency graph on
+    the points w(omega_s), l(w) <= max_length, of the non-imaginary
+    fundamental weights' orbits.  Vertices are ordered by (word length,
+    color, order within the orbit layer), and a vertex's id is its position.
+
+    Edges are orbits of dominant points, walked like the weights, each
+    point carrying its two endpoints.  B is W-invariant, so a color pair
+    s, t with B^-1[s, t] / sqrt(B^-1[s, s] B^-1[t, t]) = -1 is tangent in
+    every chamber: its real edges {w omega_s, w omega_t} are the orbit of
+    omega_s + omega_t.  The surreal edges {w omega_s, w s_s omega_s} of a
+    surreal color s are the orbit of omega_s - alpha_s, half their sum.
+
+    The endpoints lie in the closure of one chamber, or of two across the
+    panel whose wall holds the edge point, so a simple root on which the
+    edge point is positive is nowhere negative on them: a step of the walk
+    lengthens an endpoint by 0 or 1 and never shortens it.  The walk drops
+    every point with an endpoint longer than max_length; what remains is
+    closed under canonical parents, so every edge between two vertices is
+    reached.  max_records caps the vertex plus the edge-orbit records.
     """
     if level(g, zero_tol) != 2:
         raise LevelError("tangency graphs are defined for level-2 systems")
-    cx = chambers_up_to_length(g, max_length + witness_margin, max_records=max_records)
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
     b = g.gram
     n = g.rank
+    fund, norms = fundamental_weights(b)
+    roles = [classify_weight_norm(float(x), level2=True) for x in norms]
+    colors = np.array([s for s in range(n) if roles[s] is not VertexClass.IMAGINARY], dtype=int)
 
-    for v in cx.vertices:
-        classify_weight_norm(v.norm, level2=True)  # raises on norm > 1
-    seen = {
-        v.id
-        for v in cx.vertices
-        if v.vclass is not VertexClass.IMAGINARY and v.word_length <= max_length
-    }
+    vectors, vcolors, vlengths = [np.empty((0, n))], [colors[:0]], [colors[:0]]
+    layers = _orbit_layers(b, fund[colors], +1)
+    for ell, (layer, c, *_) in enumerate(
+        _capped(layers, max_length + 1, max_records, "tangency vertex generation")
+    ):
+        order = np.argsort(c, kind="stable")
+        vectors.append(layer[order])
+        vcolors.append(colors[c[order]])
+        vlengths.append(np.full(len(layer), ell))
+    vectors, vcolors, vlengths = map(np.concatenate, (vectors, vcolors, vlengths))
 
-    # vertex ids are positions in cx.vertices
-    rows, ids = spacelike_unit_rows(cx.vertices)
-    unit = np.zeros((len(cx.vertices), n))
-    unit[ids] = rows
-    bunit = unit @ b
+    # one dominant edge point per kind: its endpoints, their lengths and colors
+    starts, start_lengths, end_colors, tags = [], [], [], []
+    for i, s in enumerate(colors.tolist()):
+        for t in colors[i + 1 :].tolist():
+            if abs(fund[s, t] / math.sqrt(norms[s] * norms[t]) + 1.0) <= _TANGENCY_TOL:
+                starts.append((fund[s], fund[t]))
+                start_lengths.append((0, 0))
+                end_colors.append((s, t))
+                tags.append("real")
+        if roles[s] is VertexClass.SURREAL:
+            starts.append((fund[s], fund[s] - 2.0 * np.eye(n)[s]))  # omega_s, s_s omega_s
+            start_lengths.append((0, 1))
+            end_colors.append((s, s))
+            tags.append("surreal")
+    starts = np.array(starts, dtype=float).reshape(-1, 2, n)
+    start_lengths = np.array(start_lengths, dtype=int).reshape(-1, 2)
+    kinds, ends, lengths = [colors[:0]], [starts[:0]], [start_lengths[:0]]
+    walk = _orbit_layers(b, starts.sum(axis=1), +1, starts, start_lengths, max_length)
+    for _, k, e, ell in _capped(
+        walk, None, max_records, "tangency edge generation", total=len(vectors)
+    ):
+        kinds.append(k)
+        ends.append(e)
+        lengths.append(ell)
+    kinds, ends, lengths = map(np.concatenate, (kinds, ends, lengths))
 
-    edges: set[tuple[int, int, str]] = set()
-    chamber_vertex = np.array([c.vertices for c in cx.chambers])
-    for s in range(n):
-        for t in range(s + 1, n):
-            us = chamber_vertex[:, s]
-            vt = chamber_vertex[:, t]
-            vals = np.einsum("ij,ij->i", bunit[us], unit[vt])
-            near = np.abs(vals + 1.0) <= _TANGENCY_TOL
-            for k in np.nonzero(near)[0]:
-                a, c = int(us[k]), int(vt[k])
-                if a in seen and c in seen:
-                    edges.add((min(a, c), max(a, c), "real"))
+    # an endpoint is the vertex with its color and canonical descent word
+    vkeys = np.column_stack([vcolors, _descent_words(b, vectors, max_length + 1)])
+    ekeys = np.column_stack([
+        np.array(end_colors, dtype=int).reshape(-1, 2)[kinds].ravel(),
+        _descent_words(b, ends.reshape(-1, n), max_length + 1),
+    ])
+    index = {key.tobytes(): i for i, key in enumerate(vkeys)}
+    ids = np.array([index.get(key.tobytes(), -1) for key in ekeys], dtype=int).reshape(-1, 2)
+    if (ids < 0).any() or (vlengths[ids] != lengths).any():
+        raise InconsistencyError("a tangency edge endpoint is not a vertex of its length")
 
-    # fundamental weights are the vertices of the identity chamber
-    fund = cx.chambers[0].vertices
-    surreal_colors = [
-        s for s in range(n) if cx.vertices[fund[s]].vclass is VertexClass.SURREAL
-    ]
-    if surreal_colors:
-        for eid, chamber in enumerate(cx.chambers):
-            for s in surreal_colors:
-                nid = cx.adjacency[eid].get(s)
-                if nid is None:
-                    continue
-                a = chamber.vertices[s]
-                c = cx.chambers[nid].vertices[s]
-                if a != c and a in seen and c in seen:
-                    edges.add((min(a, c), max(a, c), "surreal"))
-
-    verts = tuple(v for v in cx.vertices if v.id in seen)
-    out = tuple(TangencyEdge(u, v, tag) for u, v, tag in sorted(edges))
-    return TangencyGraph(verts, out, max_length)
+    edges = sorted(
+        zip(ids.min(axis=1).tolist(), ids.max(axis=1).tolist(), [tags[k] for k in kinds.tolist()])
+    )
+    rows = zip(vcolors.tolist(), _frozen(vectors), vlengths.tolist())
+    verts = tuple(
+        ComplexVertex(i, c, vec, ell, float(norms[c]), roles[c])
+        for i, (c, vec, ell) in enumerate(rows)
+    )
+    return TangencyGraph(verts, tuple(TangencyEdge(u, v, tag) for u, v, tag in edges), max_length)
 
 
 def geometric_oracle(weights, b: np.ndarray, tol: float = _TANGENCY_TOL) -> set[tuple[int, int]]:

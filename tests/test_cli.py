@@ -170,6 +170,18 @@ def test_tangency_edge_format(graph_file, capsys):
         assert tag in ("real", "surreal")
 
 
+def test_tangency_cap_exceeded(graph_file, capsys):
+    g = cp.load_graph("n=5; 0-1:3 0-2:4 2-3:4 3-4:3")
+    argv = ["tangency", graph_file(g), "--length", "4", "--max-records", "2"]
+    code, _, err = run(capsys, argv)
+    assert code == 5 and "cap" in err
+
+
+def test_tangency_negative_length_is_usage_error(graph_file, capsys, universal4):
+    code, _, err = run(capsys, ["tangency", graph_file(universal4), "--length", "-1"])
+    assert code == 2 and "--length" in err
+
+
 def test_enum_rank5(tmp_path, capsys):
     out_csv = tmp_path / "census.csv"
     out_json = tmp_path / "census.json"

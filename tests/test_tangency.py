@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coxpack as cp
+from coxpack.groups import OrbitCapError
 from coxpack.orbits import VectorClass, WeightRecord
 from coxpack.tangency import (
     LevelError,
@@ -95,9 +96,11 @@ def test_tangency_universal_fundamental_complete(universal4):
         assert e.tag == "real"  # no surreal colors here (all norms 1/4)
 
 
-def test_tangency_requires_level2(fig1b):
+def test_tangency_requires_level2(fig1b, universal4):
     with pytest.raises(LevelError):
         tangency_graph(fig1b, 2)
+    with pytest.raises(ValueError):
+        tangency_graph(universal4, -1)
     with pytest.raises(LevelError):
         is_strict_level2(fig1b)
 
@@ -147,6 +150,45 @@ def test_surreal_graph_matches_oracle():
     g = cp.load_graph(SURREAL_GRAPH)
     tg = tangency_graph(g, 4)
     assert oracle_id_pairs(tg, g.gram) == tg.edge_set()
+
+
+def test_census_tangency_matches_oracle(census_entries):
+    assert len(census_entries) == 326
+    for e in census_entries:
+        tg = tangency_graph(e.graph, 5)
+        assert oracle_id_pairs(tg, e.graph.gram) == tg.edge_set(), cp.to_compact(e.graph)
+
+
+@pytest.mark.parametrize(
+    "text, vertices, edges",
+    [
+        # a chamber sweep three lengths past L found 78 of these 80 edges
+        ("n=6; 0-1:3 0-3:3 0-4:3 1-2:3 2-3:3 2-5:3", 28, 80),
+        ("n=11; 0-1:3 0-2:3 0-3:3 1-4:3 2-5:3 4-6:3 6-7:3 7-8:3 8-9:3 9-10:4", 10, 13),
+    ],
+)
+def test_census_tangency_pinned(text, vertices, edges):
+    g = cp.load_graph(text)
+    tg = tangency_graph(g, 5)
+    assert (len(tg.vertices), len(tg.edges)) == (vertices, edges)
+    assert oracle_id_pairs(tg, g.gram) == tg.edge_set()
+
+
+def test_tangency_vertex_ids_are_positions():
+    tg = tangency_graph(cp.load_graph(SURREAL_GRAPH), 4)
+    assert [v.id for v in tg.vertices] == list(range(len(tg.vertices)))
+    order = [(v.word_length, v.color) for v in tg.vertices]
+    assert order == sorted(order)
+
+
+def test_tangency_cap_counts_vertices_and_edges():
+    g = cp.load_graph(SURREAL_GRAPH)
+    tg = tangency_graph(g, 4)
+    total = len(tg.vertices) + len(tg.edges)
+    assert tangency_graph(g, 4, max_records=total).edges == tg.edges
+    for cap in (total - 1, len(tg.vertices) - 1):
+        with pytest.raises(OrbitCapError):
+            tangency_graph(g, 4, max_records=cap)
 
 
 def test_geometric_oracle_cases(universal4):
