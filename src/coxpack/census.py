@@ -2,9 +2,13 @@
 
 Candidates are nominated family by family from a catalog of level-1 graphs
 (trees, cycles, and cycles with a pendant edge) plus three simply-laced
-special graphs, then passed through numeric level recognition and
-deduplicated by canonical key.  Every surviving entry is re-verified by
-direct level computation before it is admitted.
+special graphs.  A family is a list of batches: a base graph plus a few free
+vertex pairs, standing for every labeling of those pairs.  Recognition reads
+each batch as a stack of Gram matrices, one stack per rank, so a candidate
+exists only as rows of an array; a CoxeterGraph is built only for the
+candidates that pass numeric level recognition (about 890 of 380k at rank
+11).  Survivors are deduplicated by canonical key, and every entry is
+re-verified by direct level computation before it is admitted.
 """
 
 from __future__ import annotations
@@ -71,11 +75,20 @@ class CensusEntry:
 # ---------------------------------------------------------------------------
 
 
-def _attach(g: CoxeterGraph, joints: list[tuple[int, EdgeLabel]]) -> CoxeterGraph:
-    """New graph with one extra vertex connected through the given labeled edges."""
-    new = g.rank
-    edges = list(g.edges) + [(v, new, lab) for v, lab in joints]
-    return CoxeterGraph(g.rank + 1, tuple(edges))
+# (base, free_pairs): see Nomination below
+Batch = tuple[CoxeterGraph, tuple[tuple[int, int], ...]]
+
+
+def _joined(g: CoxeterGraph, *vs: int) -> Batch:
+    """Batch adding one vertex to g, joined to each of vs."""
+    return CoxeterGraph(g.rank + 1, g.edges), tuple((v, g.rank) for v in vs)
+
+
+def _labeled(base: CoxeterGraph, pairs, labeling) -> CoxeterGraph:
+    """The batch member that gives free pair i the label labeling[i]."""
+    return CoxeterGraph(
+        base.rank, base.edges + tuple((u, v, lab) for (u, v), lab in zip(pairs, labeling))
+    )
 
 
 def _is_tree(g: CoxeterGraph) -> bool:
@@ -142,7 +155,7 @@ def _catalog_level01(max_n: int, labels, zero_tol: float):
         for base in l0_trees[k]:
             for v in range(k):
                 for lab in labs:
-                    cand = _attach(base, [(v, lab)])
+                    cand = _labeled(*_joined(base, v), [lab])
                     key = canonical_key(cand)
                     if key in seen:
                         continue
@@ -162,7 +175,7 @@ def _catalog_level01(max_n: int, labels, zero_tol: float):
         for base in l0_paths[k]:
             ends = _leaves(base)
             for lab1, lab2 in product(labs, repeat=2):
-                cand = _attach(base, [(ends[0], lab1), (ends[1], lab2)])
+                cand = _labeled(*_joined(base, *ends), [lab1, lab2])
                 key = canonical_key(cand)
                 if key in seen:
                     continue
@@ -174,7 +187,7 @@ def _catalog_level01(max_n: int, labels, zero_tol: float):
     for m in range(3, max_n):
         base = cycle_graph([3] * m)
         for lab in labs:
-            cand = _attach(base, [(0, lab)])
+            cand = _labeled(*_joined(base, 0), [lab])
             if level(cand, zero_tol) == 1:
                 l1_tailed.append(cand)
 
@@ -218,15 +231,17 @@ def enumerate_level1(
 
 
 # ---------------------------------------------------------------------------
-# Nomination.
+# Nomination.  Every family is a list of batches (base, free_pairs): base is
+# a graph on the candidates' full rank (a vertex the family adds is the last
+# one, isolated in base), and the batch stands for the graphs that add every
+# free pair to base as an edge, over all labelings in itertools.product
+# order.  nominate() expands batches into graphs; enumerate_level2 turns
+# them into Gram stacks and builds graphs only for survivors.
 # ---------------------------------------------------------------------------
 
 
-def _extend_by_vertex(base: CoxeterGraph, labs) -> Iterator[CoxeterGraph]:
-    for r in range(1, base.rank + 1):
-        for subset in combinations(range(base.rank), r):
-            for labeling in product(labs, repeat=r):
-                yield _attach(base, list(zip(subset, labeling)))
+def _labels(labels: Iterable[int]) -> list[EdgeLabel]:
+    return [EdgeLabel(m) for m in sorted(set(labels))]
 
 
 def _butterfly_edges() -> list[tuple[int, int]]:
@@ -244,47 +259,33 @@ def _theta_edges(a: int, bsz: int, c: int) -> tuple[int, list[tuple[int, int]]]:
     return nxt, edges
 
 
-def _all_labelings(rank: int, shape: list[tuple[int, int]], labs) -> Iterator[CoxeterGraph]:
-    for labeling in product(labs, repeat=len(shape)):
-        yield CoxeterGraph(
-            rank, tuple((u, v, lab) for (u, v), lab in zip(shape, labeling))
-        )
+_SPECIAL_INDEX = {Family.FROM_K4: 0, Family.FROM_K4_MINUS_E: 1, Family.FROM_K23: 2}
 
 
-def nominate(
-    family: Family,
-    level1: list[CoxeterGraph],
-    labels: Iterable[int] = ADMISSIBLE_LABELS,
-) -> Iterator[CoxeterGraph]:
-    """Candidate stream for one family; no level filtering happens here."""
-    labs = [EdgeLabel(m) for m in sorted(set(labels))]
-    if family is Family.FROM_K4:
-        yield from _extend_by_vertex(_specials()[0], labs)
-    elif family is Family.FROM_K4_MINUS_E:
-        yield from _extend_by_vertex(_specials()[1], labs)
-    elif family is Family.FROM_K23:
-        yield from _extend_by_vertex(_specials()[2], labs)
+def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[Batch]:
+    """The batches of one family, in nomination order."""
+    if family in _SPECIAL_INDEX:
+        # a new vertex joined to a nonempty subset of a special graph
+        base = _specials()[_SPECIAL_INDEX[family]]
+        for r in range(1, base.rank + 1):
+            for subset in combinations(range(base.rank), r):
+                yield _joined(base, *subset)
     elif family is Family.TWO_CYCLES:
-        yield from _all_labelings(5, _butterfly_edges(), labs)
+        yield CoxeterGraph(5), tuple(_butterfly_edges())
         for a, bsz, c in [(0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]:
             rank, shape = _theta_edges(a, bsz, c)
-            yield from _all_labelings(rank, shape, labs)
+            yield CoxeterGraph(rank), tuple(shape)
     elif family is Family.CYCLE:
         # a path of level 1 closed up by a new vertex joined to both ends
         for p in level1:
-            if not _is_path(p):
-                continue
-            ends = _leaves(p)
-            for lab1, lab2 in product(labs, repeat=2):
-                yield _attach(p, [(ends[0], lab1), (ends[1], lab2)])
+            if _is_path(p):
+                yield _joined(p, *_leaves(p))
     elif family is Family.CYCLE_TAIL1:
         # pendant edge on a level-1 cycle
         for cyc in level1:
-            if not _is_cycle(cyc):
-                continue
-            for v in range(cyc.rank):
-                for lab in labs:
-                    yield _attach(cyc, [(v, lab)])
+            if _is_cycle(cyc):
+                for v in range(cyc.rank):
+                    yield _joined(cyc, v)
         # level-1 tree with three leaves, new vertex joined to two of them;
         # the remaining branch becomes the tail and must have length one
         for t in level1:
@@ -296,26 +297,20 @@ def nominate(
             hub = next(v for v in range(t.rank) if t.degree(v) == 3)
             for l1, l2 in combinations(leaves, 2):
                 third = next(x for x in leaves if x not in (l1, l2))
-                if third not in t.neighbors(hub):
-                    continue
-                for lab1, lab2 in product(labs, repeat=2):
-                    yield _attach(t, [(l1, lab1), (l2, lab2)])
+                if third in t.neighbors(hub):
+                    yield _joined(t, l1, l2)
         # level-1 path, new vertex joined to the second and the last vertex
         for p in level1:
             if not _is_path(p) or p.rank < 3:
                 continue
             order = _path_order(p)
             for seq in (order, order[::-1]):
-                for lab1, lab2 in product(labs, repeat=2):
-                    yield _attach(p, [(seq[1], lab1), (seq[-1], lab2)])
+                yield _joined(p, seq[1], seq[-1])
     elif family is Family.CYCLE_TAIL2:
         # grow the tail of a level-1 tailed cycle by one edge
         for tc in level1:
-            if not _is_tailed_cycle(tc):
-                continue
-            tail = _leaves(tc)[0]
-            for lab in labs:
-                yield _attach(tc, [(tail, lab)])
+            if _is_tailed_cycle(tc):
+                yield _joined(tc, _leaves(tc)[0])
     elif family is Family.CYCLE_TWO_TAILS:
         # pendant edge on any cycle vertex of a level-1 tailed cycle
         for tc in level1:
@@ -323,19 +318,54 @@ def nominate(
                 continue
             tail = _leaves(tc)[0]
             for v in range(tc.rank):
-                if v == tail:
-                    continue
-                for lab in labs:
-                    yield _attach(tc, [(v, lab)])
+                if v != tail:
+                    yield _joined(tc, v)
     elif family is Family.TREE:
         for t in level1:
-            if not _is_tree(t):
-                continue
-            for v in range(t.rank):
-                for lab in labs:
-                    yield _attach(t, [(v, lab)])
+            if _is_tree(t):
+                for v in range(t.rank):
+                    yield _joined(t, v)
     else:
         raise ValueError(f"unknown family {family!r}")
+
+
+def nominate(
+    family: Family,
+    level1: list[CoxeterGraph],
+    labels: Iterable[int] = ADMISSIBLE_LABELS,
+) -> Iterator[CoxeterGraph]:
+    """Candidate stream for one family; no level filtering happens here.
+
+    These are the graphs whose Gram matrices enumerate_level2 filters, in
+    the same order; it builds a graph only for a candidate that passes.
+    """
+    labs = _labels(labels)
+    for base, pairs in _nomination_batches(family, level1):
+        for labeling in product(labs, repeat=len(pairs)):
+            yield _labeled(base, pairs, labeling)
+
+
+def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
+    """Gram matrices of every member of the batches (all of one rank), in order.
+
+    Bitwise equal to the members' CoxeterGraph.gram.  Each batch's first
+    member is built as a graph, so a malformed free pair (out of range, a
+    self-loop, or a duplicate of a pair or of a base edge) raises GraphError.
+    """
+    values = np.array([lab.gram_entry() for lab in labs])
+    sizes = [len(labs) ** len(pairs) for _, pairs in batches]
+    n = batches[0][0].rank
+    stack = np.empty((sum(sizes), n, n))
+    start = 0
+    for (base, pairs), size in zip(batches, sizes):
+        _labeled(base, pairs, labs[:1] * len(pairs))
+        codes = np.indices((len(labs),) * len(pairs)).reshape(len(pairs), -1).T
+        u, v = np.array(pairs).T
+        block = stack[start : start + size]
+        block[:] = base.gram
+        block[:, u, v] = block[:, v, u] = values[codes]
+        start += size
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +387,21 @@ def _filter_level2_arrays(grams: np.ndarray, zero_tol: float) -> np.ndarray:
     return alive[minors_psd(grams[alive], 2, zero_tol)]
 
 
+def _filter_stack(grams: np.ndarray, zero_tol: float, jobs: int) -> np.ndarray:
+    if jobs > 1 and len(grams) > 4 * _EIG_CHUNK:
+        return _filter_level2_parallel(grams, zero_tol, jobs)
+    return _filter_level2_arrays(grams, zero_tol)
+
+
 def _filter_level2(
     graphs: list[CoxeterGraph], zero_tol: float, jobs: int = 1
 ) -> list[CoxeterGraph]:
-    by_rank: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_rank.setdefault(g.rank, []).append(i)
+    """The level-2 graphs of a list, in list order, by the census's array path."""
     keep: list[int] = []
-    for n in sorted(by_rank):
-        idxs = by_rank[n]
-        grams = np.empty((len(idxs), n, n))
-        for row, i in enumerate(idxs):
-            grams[row] = graphs[i].gram
-        if jobs > 1 and len(idxs) > 4 * _EIG_CHUNK:
-            survivors = _filter_level2_parallel(grams, zero_tol, jobs)
-        else:
-            survivors = _filter_level2_arrays(grams, zero_tol)
-        keep.extend(idxs[row] for row in survivors)
+    for n in sorted({g.rank for g in graphs}):
+        idxs = [i for i, g in enumerate(graphs) if g.rank == n]
+        rows = _filter_stack(np.stack([graphs[i].gram for i in idxs]), zero_tol, jobs)
+        keep.extend(idxs[row] for row in rows)
     keep.sort()
     return [graphs[i] for i in keep]
 
@@ -415,6 +443,37 @@ def _make_entry(g: CoxeterGraph, key: bytes, family: Family, zero_tol: float) ->
     )
 
 
+def _family_survivors(
+    family: Family,
+    level1: list[CoxeterGraph],
+    labs: list[EdgeLabel],
+    max_rank: int,
+    zero_tol: float,
+    jobs: int,
+) -> list[CoxeterGraph]:
+    """Candidates of one family that pass recognition, in nomination order.
+
+    Candidates are filtered as Gram stacks, one per rank; only survivors
+    become graphs.
+    """
+    batches = [b for b in _nomination_batches(family, level1) if 5 <= b[0].rank <= max_rank]
+    sizes = np.array([len(labs) ** len(pairs) for _, pairs in batches], dtype=int)
+    hits: list[tuple[int, int]] = []  # (batch, labeling), both in nomination order
+    for n in sorted({base.rank for base, _ in batches}):
+        idxs = [i for i, (base, _) in enumerate(batches) if base.rank == n]
+        rows = _filter_stack(_gram_stack([batches[i] for i in idxs], labs), zero_tol, jobs)
+        starts = np.cumsum(sizes[idxs]) - sizes[idxs]
+        which = np.searchsorted(starts, rows, side="right") - 1
+        hits.extend((idxs[w], int(row - starts[w])) for w, row in zip(which, rows))
+    hits.sort()
+    out = []
+    for i, j in hits:
+        base, pairs = batches[i]
+        codes = np.unravel_index(j, (len(labs),) * len(pairs))
+        out.append(_labeled(base, pairs, [labs[c] for c in codes]))
+    return out
+
+
 def enumerate_level2(
     max_rank: int = 11,
     labels: Iterable[int] = ADMISSIBLE_LABELS,
@@ -429,16 +488,14 @@ def enumerate_level2(
     """
     if not 5 <= max_rank <= 11:
         raise ValueError(f"max_rank must lie in 5..11, got {max_rank}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     level1 = enumerate_level1(min(10, max_rank - 1), labels, zero_tol)
+    labs = _labels(labels)
     seen: dict[bytes, Family] = {}
     entries: list[CensusEntry] = []
     for family in Family:
-        cands = [
-            g
-            for g in nominate(family, level1, labels)
-            if 5 <= g.rank <= max_rank
-        ]
-        for g in _filter_level2(cands, zero_tol, jobs):
+        for g in _family_survivors(family, level1, labs, max_rank, zero_tol, jobs):
             if level(g, zero_tol) != 2:
                 raise InconsistencyError(
                     f"recognition accepted {to_compact(g)} but level != 2"

@@ -316,6 +316,10 @@ def cmd_tangency(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    if not 5 <= args.max_rank <= 11:
+        raise _CliError(EXIT_PARSE, f"--max-rank must lie in 5..11, got {args.max_rank}")
+    if args.jobs < 1:
+        raise _CliError(EXIT_PARSE, f"--jobs must be >= 1, got {args.jobs}")
     out_path = args.out or "census.csv"
     entries = census_mod.enumerate_level2(
         max_rank=args.max_rank, zero_tol=args.tol, jobs=args.jobs

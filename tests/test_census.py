@@ -1,16 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 
 import coxpack as cp
+from coxpack import census
 from coxpack.census import (
     ADMISSIBLE_LABELS,
     Family,
+    _family_survivors,
     _filter_level2,
+    _gram_stack,
     _is_cycle,
     _is_path,
     _is_tailed_cycle,
     _is_tree,
+    _labels,
+    _nomination_batches,
     _specials,
     census_report,
     enumerate_level1,
@@ -22,6 +28,12 @@ from coxpack.census import (
 @pytest.fixture(scope="module")
 def level1():
     return enumerate_level1(10)
+
+
+@pytest.fixture(scope="module")
+def level1_5():
+    """The level-1 catalog enumerate_level2(max_rank=6) nominates from."""
+    return enumerate_level1(5)
 
 
 def test_shape_predicates():
@@ -78,6 +90,12 @@ def test_enumerate_level1_validation():
         enumerate_level1(10, labels=(3, 4, 5, 6, 7))
 
 
+@pytest.mark.parametrize("kwargs", [{"max_rank": 4}, {"max_rank": 12}, {"jobs": 0}])
+def test_enumerate_level2_validation(kwargs):
+    with pytest.raises(ValueError):
+        enumerate_level2(**kwargs)
+
+
 def test_nominate_from_k4(level1):
     cands = list(nominate(Family.FROM_K4, level1))
     assert len(cands) == 624  # sum over nonempty subsets of 4^|subset|
@@ -99,6 +117,82 @@ def test_nominate_tree_count(level1):
     t = trees[0]
     cands = [g for g in nominate(Family.TREE, [t])]
     assert len(cands) == t.rank * 4
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_gram_stacks_match_nominate(level1_5, family):
+    """The batches' Gram stacks are the candidates' Gram matrices, bitwise and in order."""
+    labs = _labels(ADMISSIBLE_LABELS)
+    batches = list(_nomination_batches(family, level1_5))
+    graphs = [g for g in nominate(family, level1_5) if 5 <= g.rank <= 6]
+    for n in (5, 6):
+        want = [g.gram for g in graphs if g.rank == n]
+        group = [b for b in batches if b[0].rank == n]
+        if not group:
+            assert not want
+            continue
+        got = _gram_stack(group, labs)
+        assert got.shape == (len(want), n, n)
+        assert got.tobytes() == np.stack(want).tobytes()
+    # survivors are rebuilt as the same graphs, in the same order
+    assert _family_survivors(family, level1_5, labs, 6, 1e-3, 1) == _filter_level2(graphs, 1e-3)
+
+
+NOMINATED_AT_RANK11 = {
+    Family.FROM_K4: 624,
+    Family.FROM_K4_MINUS_E: 624,
+    Family.FROM_K23: 3_124,
+    Family.TWO_CYCLES: 372_736,
+    Family.CYCLE: 272,
+    Family.CYCLE_TAIL1: 1_304,
+    Family.CYCLE_TAIL2: 40,
+    Family.CYCLE_TWO_TAILS: 184,
+    Family.TREE: 1_000,
+}
+
+
+def test_nomination_counts_at_rank11(level1):
+    batches = {
+        f: [b for b in _nomination_batches(f, level1) if 5 <= b[0].rank <= 11] for f in Family
+    }
+    counts = {f: sum(4 ** len(pairs) for _, pairs in bs) for f, bs in batches.items()}
+    assert counts == NOMINATED_AT_RANK11
+    assert sum(counts.values()) == 379_908
+    assert sum(map(len, batches.values())) == 525
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [((0, 4), (0, 4)), ((0, 1),), ((4, 4),), ((0, 5),), ((-1, 4),)],
+    ids=["duplicate pair", "duplicate of a base edge", "self-loop", "out of range", "negative"],
+)
+def test_gram_stack_rejects_malformed_batch(pairs):
+    base = cp.CoxeterGraph(5, ((0, 1, cp.EdgeLabel(3)),))
+    with pytest.raises(cp.GraphError):
+        _gram_stack([(base, pairs)], _labels(ADMISSIBLE_LABELS))
+
+
+def test_census_builds_graphs_only_for_survivors(monkeypatch, level1_5):
+    """Rejected candidates (51,160 nominated at max_rank 6) never become graphs."""
+    n_batches = sum(1 for f in Family for _ in _nomination_batches(f, level1_5))
+    counts = {"graphs": 0, "survivors": 0}
+    init, level = cp.CoxeterGraph.__post_init__, census.level
+
+    def counting_init(self):
+        counts["graphs"] += 1
+        init(self)
+
+    def counting_level(g, zero_tol):
+        counts["survivors"] += 1
+        return level(g, zero_tol)
+
+    monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
+    monkeypatch.setattr(census, "level", counting_level)
+    monkeypatch.setattr(cp.CoxeterGraph, "__post_init__", counting_init)
+    assert len(enumerate_level2(max_rank=6)) == 255
+    # each batch builds its base and its validated first member, and each
+    # special-graph family builds the three special graphs once
+    assert counts["graphs"] <= 2 * n_batches + 3 * 3 + counts["survivors"]
 
 
 def test_filter_level2_agrees_with_direct_level(level1):
