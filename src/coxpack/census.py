@@ -3,12 +3,26 @@
 Candidates are nominated family by family from a catalog of level-1 graphs
 (trees, cycles, and cycles with a pendant edge) plus three simply-laced
 special graphs.  A family is a list of batches: a base graph plus a few free
-vertex pairs, standing for every labeling of those pairs.  Recognition reads
-each batch as a stack of Gram matrices, one stack per rank, so a candidate
-exists only as rows of an array; a CoxeterGraph is built only for the
-candidates that pass numeric level recognition (about 890 of 380k at rank
-11).  Survivors are deduplicated by canonical key, and every entry is
-re-verified by direct level computation before it is admitted.
+vertex pairs, standing for every labeling of those pairs, so a candidate is
+a row of label codes and a CoxeterGraph is built only for the candidates
+that pass numeric level recognition (about 890 of 380k at rank 11).
+
+Recognition decides each minor once.  A graph has level 2 when every
+two-vertex deletion is finite or affine (its Gram minor is positive
+semidefinite) and some one-vertex deletion is not; a principal submatrix of
+a positive semidefinite matrix is positive semidefinite (Cauchy
+interlacing), so the full matrix then fails too and needs no test of its
+own.  The minor a two-vertex deletion keeps depends only on the labels of
+the free pairs inside it, so each deletion decides the table of those
+sub-labelings once and every candidate reads its verdict by mixed-radix
+code; a table row is bitwise the candidate's own minor, so the verdicts are
+exactly those of a per-candidate filter.  The one-vertex deletions are then
+decided for the few candidates left.  The level-1 catalog decides levels 0
+and 1 on Gram stacks and keys only the graphs it keeps; level is invariant
+under isomorphism, so the first representative of each kept class is
+unchanged.  Survivors are deduplicated by canonical key, and every entry is
+re-verified by direct level computation before it is admitted.  The census
+runs in one process.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .forms import _EIG_CHUNK, DEFAULT_ZERO_TOL, fundamental_weights, level, minors_psd
+from .forms import DEFAULT_ZERO_TOL, fundamental_weights, level, minors_psd
 from .graphs import (
     CoxeterGraph,
     EdgeLabel,
@@ -91,6 +105,24 @@ def _labeled(base: CoxeterGraph, pairs, labeling) -> CoxeterGraph:
     )
 
 
+def _label_codes(k: int, radix: int) -> np.ndarray:
+    """Every labeling of k free pairs as a row of label indices, in product order."""
+    return np.indices((radix,) * k).reshape(k, radix**k).T
+
+
+def _member_grams(gram: np.ndarray, pairs, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One Gram matrix per row of codes, giving free pair i the value values[row[i]].
+
+    gram is the base's Gram matrix (zero at the free pairs); each result
+    equals the member's CoxeterGraph.gram bitwise.
+    """
+    stack = np.repeat(gram[None], len(codes), axis=0)
+    if len(pairs):
+        u, v = np.array(pairs).T
+        stack[:, u, v] = stack[:, v, u] = values[codes]
+    return stack
+
+
 def _is_tree(g: CoxeterGraph) -> bool:
     return len(g.edges) == g.rank - 1 and g.is_connected()
 
@@ -141,8 +173,33 @@ def _path_order(g: CoxeterGraph) -> list[int]:
 # level-1 tree is a level-0 tree plus one pendant edge, a level-1 cycle is a
 # level-0 path with its ends joined to a new vertex, and a level-1 tailed
 # cycle hangs a pendant edge on an unlabeled (all-3) cycle, the only
-# positive-semidefinite cycles.
+# positive-semidefinite cycles.  Each growth step decides levels 0 and 1 on
+# one Gram stack and builds and keys only the graphs of level <= 1.
 # ---------------------------------------------------------------------------
+
+
+def _levels01(batches: list[Batch], labs: list[EdgeLabel], zero_tol: float):
+    """The members of level 0 or 1 of same-rank batches, with their levels, in order.
+
+    Both levels are decided on one Gram stack, so a graph is built only for a
+    member of level <= 1.
+    """
+    values = np.array([lab.gram_entry() for lab in labs])
+    grams = np.concatenate([
+        _member_grams(base.gram, pairs, _label_codes(len(pairs), len(labs)), values)
+        for base, pairs in batches
+    ])
+    levels = np.where(minors_psd(grams, 0, zero_tol), 0, 2)
+    rest = np.flatnonzero(levels)
+    levels[rest[minors_psd(grams[rest], 1, zero_tol)]] = 1
+    members = (
+        (base, pairs, labeling)
+        for base, pairs in batches
+        for labeling in product(labs, repeat=len(pairs))
+    )
+    for (base, pairs, labeling), lv in zip(members, levels):
+        if lv <= 1:
+            yield _labeled(base, pairs, labeling), int(lv)
 
 
 def _catalog_level01(max_n: int, labels, zero_tol: float):
@@ -152,19 +209,12 @@ def _catalog_level01(max_n: int, labels, zero_tol: float):
     for k in range(1, max_n):
         grown: list[CoxeterGraph] = []
         seen: set[bytes] = set()
-        for base in l0_trees[k]:
-            for v in range(k):
-                for lab in labs:
-                    cand = _labeled(*_joined(base, v), [lab])
-                    key = canonical_key(cand)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    lv = level(cand, zero_tol)
-                    if lv == 0:
-                        grown.append(cand)
-                    elif lv == 1:
-                        l1_trees.append(cand)
+        batches = [_joined(base, v) for base in l0_trees[k] for v in range(k)]
+        for cand, lv in _levels01(batches, labs, zero_tol):
+            key = canonical_key(cand)
+            if key not in seen:
+                seen.add(key)
+                (grown if lv == 0 else l1_trees).append(cand)
         l0_trees[k + 1] = grown
 
     l0_paths = {k: [t for t in trees if _is_path(t)] for k, trees in l0_trees.items()}
@@ -172,24 +222,16 @@ def _catalog_level01(max_n: int, labels, zero_tol: float):
     l1_cycles: list[CoxeterGraph] = []
     for k in range(2, max_n):
         seen = set()
-        for base in l0_paths[k]:
-            ends = _leaves(base)
-            for lab1, lab2 in product(labs, repeat=2):
-                cand = _labeled(*_joined(base, *ends), [lab1, lab2])
-                key = canonical_key(cand)
-                if key in seen:
-                    continue
+        batches = [_joined(base, *_leaves(base)) for base in l0_paths[k]]
+        for cand, lv in _levels01(batches, labs, zero_tol):
+            if lv == 1 and (key := canonical_key(cand)) not in seen:
                 seen.add(key)
-                if level(cand, zero_tol) == 1:
-                    l1_cycles.append(cand)
+                l1_cycles.append(cand)
 
     l1_tailed: list[CoxeterGraph] = []
     for m in range(3, max_n):
-        base = cycle_graph([3] * m)
-        for lab in labs:
-            cand = _labeled(*_joined(base, 0), [lab])
-            if level(cand, zero_tol) == 1:
-                l1_tailed.append(cand)
+        batch = _joined(cycle_graph([3] * m), 0)
+        l1_tailed.extend(cand for cand, lv in _levels01([batch], labs, zero_tol) if lv == 1)
 
     return l0_trees, l1_trees, l1_cycles, l1_tailed
 
@@ -235,8 +277,8 @@ def enumerate_level1(
 # a graph on the candidates' full rank (a vertex the family adds is the last
 # one, isolated in base), and the batch stands for the graphs that add every
 # free pair to base as an edge, over all labelings in itertools.product
-# order.  nominate() expands batches into graphs; enumerate_level2 turns
-# them into Gram stacks and builds graphs only for survivors.
+# order.  nominate() expands batches into graphs; enumerate_level2 filters
+# them as label codes and builds graphs only for survivors.
 # ---------------------------------------------------------------------------
 
 
@@ -351,28 +393,25 @@ def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
     Bitwise equal to the members' CoxeterGraph.gram.  Each batch's first
     member is built as a graph, so a malformed free pair (out of range, a
     self-loop, or a duplicate of a pair or of a base edge) raises GraphError.
+    The census does not build these stacks; tests filter them with
+    _filter_level2_arrays as the reference for _batch_survivors.
     """
     values = np.array([lab.gram_entry() for lab in labs])
-    sizes = [len(labs) ** len(pairs) for _, pairs in batches]
-    n = batches[0][0].rank
-    stack = np.empty((sum(sizes), n, n))
-    start = 0
-    for (base, pairs), size in zip(batches, sizes):
+    for base, pairs in batches:
         _labeled(base, pairs, labs[:1] * len(pairs))
-        codes = np.indices((len(labs),) * len(pairs)).reshape(len(pairs), -1).T
-        u, v = np.array(pairs).T
-        block = stack[start : start + size]
-        block[:] = base.gram
-        block[:, u, v] = block[:, v, u] = values[codes]
-        start += size
-    return stack
+    return np.concatenate([
+        _member_grams(base.gram, pairs, _label_codes(len(pairs), len(labs)), values)
+        for base, pairs in batches
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Recognition: staged, vectorized level-2 filtering.
 # level(g) == 2 is equivalent to: some vertex deletion is not positive
 # semidefinite, and every deletion of two vertices is.  A non-PSD full
-# matrix is a necessary precondition and cheap to screen first.
+# matrix is a necessary precondition.  _batch_survivors is the census's
+# path; _filter_level2_arrays decides each candidate's own minors and is
+# kept as its test reference.
 # ---------------------------------------------------------------------------
 
 
@@ -387,41 +426,44 @@ def _filter_level2_arrays(grams: np.ndarray, zero_tol: float) -> np.ndarray:
     return alive[minors_psd(grams[alive], 2, zero_tol)]
 
 
-def _filter_stack(grams: np.ndarray, zero_tol: float, jobs: int) -> np.ndarray:
-    if jobs > 1 and len(grams) > 4 * _EIG_CHUNK:
-        return _filter_level2_parallel(grams, zero_tol, jobs)
-    return _filter_level2_arrays(grams, zero_tol)
-
-
-def _filter_level2(
-    graphs: list[CoxeterGraph], zero_tol: float, jobs: int = 1
-) -> list[CoxeterGraph]:
-    """The level-2 graphs of a list, in list order, by the census's array path."""
+def _filter_level2(graphs: list[CoxeterGraph], zero_tol: float) -> list[CoxeterGraph]:
+    """The level-2 graphs of a list, in list order, by _filter_level2_arrays."""
     keep: list[int] = []
     for n in sorted({g.rank for g in graphs}):
         idxs = [i for i, g in enumerate(graphs) if g.rank == n]
-        rows = _filter_stack(np.stack([graphs[i].gram for i in idxs]), zero_tol, jobs)
+        rows = _filter_level2_arrays(np.stack([graphs[i].gram for i in idxs]), zero_tol)
         keep.extend(idxs[row] for row in rows)
     keep.sort()
     return [graphs[i] for i in keep]
 
 
-def _parallel_worker(args):
-    grams, zero_tol = args
-    return _filter_level2_arrays(grams, zero_tol)
+def _batch_survivors(
+    base: CoxeterGraph, pairs, values: np.ndarray, zero_tol: float
+) -> np.ndarray:
+    """Label codes of the level-2 members of a batch, in product order.
 
-
-def _filter_level2_parallel(grams: np.ndarray, zero_tol: float, jobs: int) -> np.ndarray:
-    import multiprocessing
-
-    chunks = np.array_split(np.arange(grams.shape[0]), jobs * 4)
-    payload = [(grams[c], zero_tol) for c in chunks if c.size]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_parallel_worker, payload)
-    out = []
-    for chunk, part in zip([c for c in chunks if c.size], parts):
-        out.extend(chunk[part])
-    return np.array(sorted(out), dtype=int)
+    Every two-vertex deletion must be positive semidefinite, and its minor
+    depends only on the labels of the free pairs it keeps; so each deletion
+    decides the table of those sub-labelings once, and the members read
+    their verdicts by mixed-radix code.  The batch stops once no member is
+    left.  Some one-vertex deletion must then fail, decided on the Gram
+    matrices of the remaining members only; by interlacing, the full matrix
+    then fails too and needs no test of its own.
+    """
+    n, radix = base.rank, len(values)
+    codes = _label_codes(len(pairs), radix)
+    for drop in combinations(range(n), 2):
+        keep = [v for v in range(n) if v not in drop]
+        inside = [i for i, (u, v) in enumerate(pairs) if u not in drop and v not in drop]
+        local = [(keep.index(pairs[i][0]), keep.index(pairs[i][1])) for i in inside]
+        minor = base.gram[keep][:, keep]
+        table = _member_grams(minor, local, _label_codes(len(inside), radix), values)
+        verdicts = minors_psd(table, 0, zero_tol)
+        codes = codes[verdicts[codes[:, inside] @ radix ** np.arange(len(inside))[::-1]]]
+        if not len(codes):
+            return codes
+    grams = _member_grams(base.gram, pairs, codes, values)
+    return codes[~minors_psd(grams, 1, zero_tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +491,22 @@ def _family_survivors(
     labs: list[EdgeLabel],
     max_rank: int,
     zero_tol: float,
-    jobs: int,
 ) -> list[CoxeterGraph]:
     """Candidates of one family that pass recognition, in nomination order.
 
-    Candidates are filtered as Gram stacks, one per rank; only survivors
-    become graphs.
+    Candidates are filtered batch by batch as label codes; only survivors
+    become graphs.  Each batch's first member is built as a graph, so a
+    malformed free pair (out of range, a self-loop, or a duplicate of a pair
+    or of a base edge) raises GraphError.
     """
-    batches = [b for b in _nomination_batches(family, level1) if 5 <= b[0].rank <= max_rank]
-    sizes = np.array([len(labs) ** len(pairs) for _, pairs in batches], dtype=int)
-    hits: list[tuple[int, int]] = []  # (batch, labeling), both in nomination order
-    for n in sorted({base.rank for base, _ in batches}):
-        idxs = [i for i, (base, _) in enumerate(batches) if base.rank == n]
-        rows = _filter_stack(_gram_stack([batches[i] for i in idxs], labs), zero_tol, jobs)
-        starts = np.cumsum(sizes[idxs]) - sizes[idxs]
-        which = np.searchsorted(starts, rows, side="right") - 1
-        hits.extend((idxs[w], int(row - starts[w])) for w, row in zip(which, rows))
-    hits.sort()
+    values = np.array([lab.gram_entry() for lab in labs])
     out = []
-    for i, j in hits:
-        base, pairs = batches[i]
-        codes = np.unravel_index(j, (len(labs),) * len(pairs))
-        out.append(_labeled(base, pairs, [labs[c] for c in codes]))
+    for base, pairs in _nomination_batches(family, level1):
+        if not 5 <= base.rank <= max_rank:
+            continue
+        _labeled(base, pairs, labs[:1] * len(pairs))
+        for codes in _batch_survivors(base, pairs, values, zero_tol):
+            out.append(_labeled(base, pairs, [labs[c] for c in codes]))
     return out
 
 
@@ -485,6 +521,7 @@ def enumerate_level2(
     Candidates come from the nomination families in declaration order; the
     first family to produce a graph keeps the tag.  Every entry is verified
     by direct level recognition, independent of how it was constructed.
+    jobs is validated but unused: the census runs in one process.
     """
     if not 5 <= max_rank <= 11:
         raise ValueError(f"max_rank must lie in 5..11, got {max_rank}")
@@ -495,7 +532,7 @@ def enumerate_level2(
     seen: dict[bytes, Family] = {}
     entries: list[CensusEntry] = []
     for family in Family:
-        for g in _family_survivors(family, level1, labs, max_rank, zero_tol, jobs):
+        for g in _family_survivors(family, level1, labs, max_rank, zero_tol):
             if level(g, zero_tol) != 2:
                 raise InconsistencyError(
                     f"recognition accepted {to_compact(g)} but level != 2"

@@ -360,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol", type=float, default=1e-3, help="eigenvalue zero tolerance (finite, > 0)"
     )
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers (enum only)")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="must be >= 1; the census runs in one process"
+    )
     common.add_argument(
         "--max-records", type=int, default=None, help="cap orbit record counts"
     )

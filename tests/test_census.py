@@ -1,21 +1,31 @@
+import math
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxpack as cp
 from coxpack import census
 from coxpack.census import (
     ADMISSIBLE_LABELS,
     Family,
+    _batch_survivors,
+    _catalog_level01,
     _family_survivors,
     _filter_level2,
+    _filter_level2_arrays,
     _gram_stack,
     _is_cycle,
     _is_path,
     _is_tailed_cycle,
     _is_tree,
+    _joined,
+    _labeled,
     _labels,
+    _leaves,
     _nomination_batches,
     _specials,
     census_report,
@@ -23,6 +33,8 @@ from coxpack.census import (
     enumerate_level2,
     nominate,
 )
+
+TOLS = (5e-4, 1e-3, 2e-3)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +95,71 @@ def test_enumerate_level1_contents(level1):
     assert all(g.rank <= 10 for g in level1)
 
 
+def _reference_catalog(max_n, labels, zero_tol):
+    """The level-1 catalog built one candidate at a time: one key and one level each."""
+    labs = [cp.EdgeLabel(m) for m in labels]
+    l0_trees = {1: [cp.CoxeterGraph(1)]}
+    l1_trees = []
+    for k in range(1, max_n):
+        grown = []
+        seen = set()
+        for base in l0_trees[k]:
+            for v in range(k):
+                for lab in labs:
+                    cand = _labeled(*_joined(base, v), [lab])
+                    key = cp.canonical_key(cand)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    lv = cp.level(cand, zero_tol)
+                    if lv == 0:
+                        grown.append(cand)
+                    elif lv == 1:
+                        l1_trees.append(cand)
+        l0_trees[k + 1] = grown
+
+    l0_paths = {k: [t for t in trees if _is_path(t)] for k, trees in l0_trees.items()}
+
+    l1_cycles = []
+    for k in range(2, max_n):
+        seen = set()
+        for base in l0_paths[k]:
+            ends = _leaves(base)
+            for lab1, lab2 in product(labs, repeat=2):
+                cand = _labeled(*_joined(base, *ends), [lab1, lab2])
+                key = cp.canonical_key(cand)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if cp.level(cand, zero_tol) == 1:
+                    l1_cycles.append(cand)
+
+    l1_tailed = []
+    for m in range(3, max_n):
+        base = cp.cycle_graph([3] * m)
+        for lab in labs:
+            cand = _labeled(*_joined(base, 0), [lab])
+            if cp.level(cand, zero_tol) == 1:
+                l1_tailed.append(cand)
+
+    return l0_trees, l1_trees, l1_cycles, l1_tailed
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_catalog_matches_per_candidate_reference(level1, tol):
+    """Stacked level decisions keep the same catalog graphs, in the same order."""
+
+    def compact(catalog):
+        l0_trees, *rest = catalog
+        return [[cp.to_compact(g) for g in gs] for gs in [*l0_trees.values(), *rest]]
+
+    want = _reference_catalog(10, ADMISSIBLE_LABELS, tol)
+    assert compact(_catalog_level01(10, ADMISSIBLE_LABELS, tol)) == compact(want)
+    got = [cp.to_compact(g) for g in enumerate_level1(10, zero_tol=tol)]
+    assert got == [cp.to_compact(g) for g in level1]
+    assert len(got) == 96
+
+
 def test_enumerate_level1_validation():
     with pytest.raises(ValueError):
         enumerate_level1(11)
@@ -121,7 +198,8 @@ def test_nominate_tree_count(level1):
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_gram_stacks_match_nominate(level1_5, family):
-    """The batches' Gram stacks are the candidates' Gram matrices, bitwise and in order."""
+    """The batches' Gram stacks are the candidates' Gram matrices, bitwise and in order,
+    and the memoized survivors are the reference filter's at every tolerance."""
     labs = _labels(ADMISSIBLE_LABELS)
     batches = list(_nomination_batches(family, level1_5))
     graphs = [g for g in nominate(family, level1_5) if 5 <= g.rank <= 6]
@@ -135,7 +213,67 @@ def test_gram_stacks_match_nominate(level1_5, family):
         assert got.shape == (len(want), n, n)
         assert got.tobytes() == np.stack(want).tobytes()
     # survivors are rebuilt as the same graphs, in the same order
-    assert _family_survivors(family, level1_5, labs, 6, 1e-3, 1) == _filter_level2(graphs, 1e-3)
+    for tol in TOLS:
+        assert _family_survivors(family, level1_5, labs, 6, tol) == _filter_level2(graphs, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_survivors_match_reference_filter(data):
+    """Memoized two-deletion tables pick the members the per-candidate filter picks."""
+    n = data.draw(st.integers(5, 8), label="rank")
+    pairs = list(combinations(range(n), 2))
+    free = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
+    free = tuple(p if data.draw(st.booleans()) else p[::-1] for p in free)
+    rest = [p for p in pairs if p not in free and p[::-1] not in free]
+    fixed = data.draw(st.lists(st.sampled_from(rest), max_size=n, unique=True))
+    marks = data.draw(st.lists(st.sampled_from(ADMISSIBLE_LABELS), min_size=len(fixed),
+                               max_size=len(fixed)))
+    tol = data.draw(st.sampled_from(TOLS), label="tol")
+    base = cp.CoxeterGraph(n, tuple((u, v, cp.EdgeLabel(m)) for (u, v), m in zip(fixed, marks)))
+    labs = _labels(ADMISSIBLE_LABELS)
+    values = np.array([lab.gram_entry() for lab in labs])
+    codes = _batch_survivors(base, free, values, tol)
+    rows = codes @ len(labs) ** np.arange(len(free))[::-1]
+    want = _filter_level2_arrays(_gram_stack([(base, free)], labs), tol)
+    assert rows.tolist() == want.tolist()
+
+
+def test_batch_stops_when_no_member_is_left(monkeypatch):
+    """A batch whose first two-vertex deletion fails for every labeling ends there."""
+    sizes = []
+    kernel = census.minors_psd
+
+    def counting(grams, k, zero_tol):
+        sizes.append(len(grams))
+        return kernel(grams, k, zero_tol)
+
+    monkeypatch.setattr(census, "minors_psd", counting)
+    # deleting vertices 0 and 1 leaves the hyperbolic triangle 2-3-4 (bonds 4)
+    four = cp.EdgeLabel(4)
+    base = cp.CoxeterGraph(5, ((2, 3, four), (2, 4, four), (3, 4, four)))
+    values = np.array([lab.gram_entry() for lab in _labels(ADMISSIBLE_LABELS)])
+    assert _batch_survivors(base, ((0, 1), (0, 2)), values, 1e-3).shape == (0, 2)
+    assert sizes == [1]
+
+
+def test_census_kernel_work_bound(monkeypatch):
+    """Matrices sent to eigvalsh by enumerate_level2(max_rank=8).
+
+    One minor per candidate and deletion is 1,271,785; memoizing the
+    two-vertex deletions by sub-labeling leaves 94,235.
+    """
+    matrices = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        low = eigvalsh(a)
+        matrices[0] += math.prod(low.shape[:-1])
+        return low
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert len(enumerate_level2(max_rank=8)) == 304
+    assert matrices[0] < 120_000
 
 
 NOMINATED_AT_RANK11 = {
@@ -159,6 +297,14 @@ def test_nomination_counts_at_rank11(level1):
     assert counts == NOMINATED_AT_RANK11
     assert sum(counts.values()) == 379_908
     assert sum(map(len, batches.values())) == 525
+    # the two-vertex-deletion tables over the free pairs each deletion keeps
+    rows = sum(
+        4 ** sum(1 for pair in pairs if not set(pair) & set(drop))
+        for bs in batches.values()
+        for base, pairs in bs
+        for drop in combinations(range(base.rank), 2)
+    )
+    assert rows == 76_858
 
 
 @pytest.mark.parametrize(
@@ -266,18 +412,6 @@ def test_dedup_stable_under_candidate_shuffle(level1):
     shuffled = cands[:]
     random.Random(3).shuffle(shuffled)
     assert {cp.canonical_key(g) for g in _filter_level2(shuffled, 1e-3)} == ordered
-
-
-def test_parallel_filter_matches_sequential(level1):
-    import numpy as np
-
-    from coxpack.census import _filter_level2_arrays, _filter_level2_parallel
-
-    cands = list(nominate(Family.FROM_K4, level1))
-    grams = np.stack([g.gram for g in cands])
-    seq = _filter_level2_arrays(grams, 1e-3)
-    par = _filter_level2_parallel(grams, 1e-3, jobs=2)
-    assert np.array_equal(np.sort(seq), par)
 
 
 def test_census_contains_butterfly(census_entries):
