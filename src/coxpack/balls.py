@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .forms import DEFAULT_ZERO_TOL, NotLorentzianError, signature
-from .orbits import ProjectivePoint, bilinear, normalize_spacelike, spacelike_unit_rows
+from .orbits import _ISO_TOL, ProjectivePoint, bilinear, normalize_spacelike, spacelike_unit_rows
 
 _ALGEBRAIC_TOL = 1e-9
 _ANGULAR_TOL = 1e-6
@@ -143,14 +143,44 @@ def cap_of(x, frame: LorentzFrame, b: np.ndarray) -> SphericalCap:
     rays (u, 1) satisfy B(x, (u, 1)) <= 0 exactly on the cap of angular radius
     arccos(-t/|v|) around -v/|v|.
     """
-    xhat = normalize_spacelike(x, b)
-    y = frame.to_frame(xhat)
-    v, t = y[:-1], float(y[-1])
-    nv = float(np.linalg.norm(v))
-    center = -v / nv
-    center.setflags(write=False)
-    radius = math.acos(max(-1.0, min(1.0, -t / nv)))
-    return SphericalCap(center, radius)
+    centers, radii = _cap_rows(np.asarray(x, dtype=float)[None, :], frame, b)
+    return SphericalCap(_readonly(centers[0]), float(radii[0]))
+
+
+def _cap_rows(vectors: np.ndarray, frame: LorentzFrame, b: np.ndarray):
+    """cap_of for each row of a 2-D array: the cap centers as rows, and their radii.
+
+    Each product is a stack of one-row products, which numpy's matmul
+    computes with the same vector kernels (gemv, dot) as a single row, so
+    every row gets cap_of's bits; a 2-D product (gemm) or np.arccos would
+    round differently.
+    """
+    q = (vectors[:, None, :] @ b @ vectors[:, :, None])[:, 0, 0]  # bilinear(b, x, x)
+    bad = np.flatnonzero(~(q > _ISO_TOL))
+    if bad.size:
+        raise ValueError(f"vector is not space-like (B(x,x) = {q[bad[0]]:.3e})")
+    xhat = vectors / np.sqrt(q)[:, None]
+    y = (frame.inverse @ xhat[:, :, None])[:, :, 0]
+    v, t = y[:, :-1], y[:, -1]
+    nv = _row_norms(v)
+    centers = -v / nv[:, None]
+    radii = np.array(list(map(math.acos, np.clip(-t / nv, -1.0, 1.0).tolist())))
+    _check_caps(centers, radii)
+    return centers, radii
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, with its bits: the square root of the row's dot product."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _check_caps(centers: np.ndarray, radii: np.ndarray) -> None:
+    """SphericalCap's checks on cap rows."""
+    if (np.abs(np.linalg.norm(centers, axis=1) - 1.0) > 1e-12).any():
+        raise ValueError("cap center must be a unit vector")
+    bad = np.flatnonzero(~((0.0 < radii) & (radii < math.pi)))
+    if bad.size:
+        raise ValueError(f"cap radius must lie in (0, pi), got {radii[bad[0]]}")
 
 
 def separation(x, y, b: np.ndarray) -> float:
@@ -182,23 +212,49 @@ def stereographic(cap: SphericalCap, pole_axis: int) -> EuclideanBall:
     d = cap.center.size
     if not 0 <= pole_axis < d:
         raise ValueError(f"pole_axis must index the sphere's ambient axes 0..{d - 1}")
-    c_s = float(cap.center[pole_axis])
-    c_w = np.delete(cap.center, pole_axis)
-    cos_r = math.cos(cap.angular_radius)
+    rows = _stereographic_rows(cap.center[None, :], np.array([cap.angular_radius]), pole_axis)
+    return _balls_of_rows(*rows)[0]
+
+
+def _stereographic_rows(centers: np.ndarray, radii: np.ndarray, pole_axis: int):
+    """stereographic for each cap row: curvatures, curvature centers as rows, offsets.
+
+    A half-space row has curvature 0.0, its unit normal as curvature
+    center and its offset; every other row has offset NaN.  Cosines,
+    sines and arccosines go through math, row by row, for the same bits
+    as one cap at a time.
+    """
+    c_s = centers[:, pole_axis]
+    c_w = np.delete(centers, pole_axis, axis=1)
+    cos_r = np.array(list(map(math.cos, radii.tolist())))
+    sin_r = np.array(list(map(math.sin, radii.tolist())))
     # angular gap between the pole and the cap boundary circle
-    gap = abs(math.acos(max(-1.0, min(1.0, c_s))) - cap.angular_radius)
-    if gap <= _ALGEBRAIC_TOL:
-        w = float(np.linalg.norm(c_w))
-        if w < 1e-12:
-            raise ValueError("degenerate cap: boundary through the pole with axial center")
-        normal = c_w / w
-        normal.setflags(write=False)
-        return EuclideanBall(0.0, normal, cos_r / w)
-    sin_r = math.sin(cap.angular_radius)
+    half = _pole_gaps(c_s, radii) <= _ALGEBRAIC_TOL
     kappa = (cos_r - c_s) / sin_r
-    kc = c_w / sin_r
-    kc.setflags(write=False)
-    return EuclideanBall(kappa, kc)
+    kc = c_w / sin_r[:, None]
+    offsets = np.full(len(radii), math.nan)
+    if half.any():
+        w = _row_norms(c_w[half])
+        if (w < 1e-12).any():
+            raise ValueError("degenerate cap: boundary through the pole with axial center")
+        kappa[half] = 0.0
+        kc[half] = c_w[half] / w[:, None]
+        offsets[half] = cos_r[half] / w
+    return kappa, kc, offsets
+
+
+def _pole_gaps(c_s: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """|angle from the pole to each cap center - cap radius|, per row."""
+    angles = list(map(math.acos, np.clip(c_s, -1.0, 1.0).tolist()))
+    return np.abs(np.array(angles) - radii)
+
+
+def _balls_of_rows(kappa: np.ndarray, kc: np.ndarray, offsets: np.ndarray) -> list[EuclideanBall]:
+    """EuclideanBall of each row of _stereographic_rows."""
+    return [
+        EuclideanBall(k, _readonly(c), None if math.isnan(o) else o)
+        for k, c, o in zip(kappa.tolist(), kc, offsets.tolist())
+    ]
 
 
 def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> ClusterReport:
@@ -210,6 +266,11 @@ def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> Clu
     produce them.
     """
     unit, ids = spacelike_unit_rows(weights)
+    return _cluster_report(unit, ids, b, tol)
+
+
+def _cluster_report(unit: np.ndarray, ids, b: np.ndarray, tol: float = _ALGEBRAIC_TOL):
+    """validate_cluster on B-unit rows; ids[i] names row i in the reported pairs."""
     if len(ids) < 2:
         return ClusterReport(True, math.inf, (), ())
     k = unit.shape[0]
@@ -284,7 +345,22 @@ def project_packing(
     """
     if not caps:
         return [], [], np.eye(0)
-    d = caps[0].center.size
+    centers = np.array([c.center for c in caps])
+    radii = np.array([c.angular_radius for c in caps])
+    rows, used, rot = _project_rows(centers, radii, retries)
+    if used is not centers:
+        caps = [SphericalCap(_readonly(c), r) for c, r in zip(used, radii.tolist())]
+    return _balls_of_rows(*rows), list(caps), rot
+
+
+def _project_rows(centers: np.ndarray, radii: np.ndarray, retries: int = 3):
+    """project_packing on cap rows: _stereographic_rows' arrays, the centers used, the rotation.
+
+    The centers used are `centers` itself unless the frame was nudged.
+    """
+    d = centers.shape[1]
+    if not len(radii):
+        return _stereographic_rows(centers, radii, d - 1), centers, np.eye(0)
     pole = d - 1
     rot = np.eye(d)
     step = np.eye(d)
@@ -293,19 +369,14 @@ def project_packing(
         step[0, 0] = step[pole, pole] = math.cos(a)
         step[0, pole] = -math.sin(a)
         step[pole, 0] = math.sin(a)
-    current = caps
+    current = centers
     for attempt in range(retries + 1):
-        risky = any(
-            abs(math.acos(max(-1.0, min(1.0, float(c.center[pole])))) - c.angular_radius)
-            < _ANGULAR_TOL
-            for c in current
-        )
+        risky = (_pole_gaps(current[:, pole], radii) < _ANGULAR_TOL).any()
         if not risky or attempt == retries or d < 2:
-            return [stereographic(c, pole) for c in current], list(current), rot
+            return _stereographic_rows(current, radii, pole), current, rot
         rot = step @ rot
-        current = [
-            SphericalCap(_readonly(rot @ c.center), c.angular_radius) for c in caps
-        ]
+        current = (rot @ centers[:, :, None])[:, :, 0]  # row by row, as in _cap_rows
+        _check_caps(current, radii)
     raise AssertionError("unreachable")
 
 

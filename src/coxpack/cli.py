@@ -11,7 +11,13 @@ import sys
 import numpy as np
 
 from . import census as census_mod
-from .balls import cap_of, lorentz_frame, project_packing, validate_cluster
+from .balls import (
+    _balls_of_rows,
+    _cap_rows,
+    _cluster_report,
+    _project_rows,
+    lorentz_frame,
+)
 from .forms import (
     FormError,
     SingularFormError,
@@ -24,11 +30,12 @@ from .graphs import GraphError, load_graph, to_compact
 from .groups import OrbitCapError
 from .orbits import (
     VectorClass,
+    _root_columns,
+    _unit_rows,
+    _weight_columns,
     classify_norm,
     projective_coords,
     quadratic_form,
-    roots_up_to_depth,
-    weights_up_to_length,
 )
 from .render import RenderSpec, svg_packing
 from .tangency import (
@@ -82,6 +89,8 @@ def _max_records(args) -> int | None:
             mem = int(env)
         except ValueError:
             raise _CliError(EXIT_PARSE, f"COXPACK_MAX_MEM must be an integer byte count, got {env!r}")
+        if mem < 1:
+            raise _CliError(EXIT_PARSE, f"COXPACK_MAX_MEM must be a positive byte count, got {env!r}")
         return max(1, mem // 256)
     return None
 
@@ -150,37 +159,101 @@ def cmd_classify(args) -> int:
     return 0
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values) -> list[str]:
+    """json.dumps' text for each float of an array, flattened.
+
+    Each distinct bit pattern is formatted once: orbit coordinates repeat
+    a lot.  float.__repr__, not repr: numpy 2's repr of a numpy float names
+    its type.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
+    distinct = bits.view(float)
+    texts = list(map(float.__repr__, distinct.tolist()))
+    if not np.isfinite(distinct).all():
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return np.array(texts, dtype=object)[where].tolist()
+
+
+def _list_texts(rows: np.ndarray) -> list[str]:
+    """json.dumps(row, indent=1) of each row of a 2-D float array, as a record's value."""
+    n = rows.shape[1]
+    if not n:
+        return ["[]"] * len(rows)
+    template = "[\n    " + ",\n    ".join(["%s"] * n) + "\n   ]"
+    texts = iter(_float_texts(rows))
+    return [template % row for row in zip(*[texts] * n)]
+
+
+def _int_texts(values) -> list[str]:
+    return list(map(str, np.asarray(values).tolist()))
+
+
+def _dump_records(head: dict, key: str, columns: dict[str, list]) -> str:
+    """json.dumps({**head, key: records}, indent=1) + "\n", records given as columns.
+
+    `columns` maps each record key, in order, to the JSON text of its value
+    in every record, as json.dumps(..., indent=1) writes it inside a
+    record.  A None text omits the key from that record; the first key
+    must be present in all.  CPython's json module uses its C encoder only
+    without indent, so orbit documents of thousands of records are filled
+    into a record template instead; the bytes are the same.
+    """
+    parts, cols = [], []
+    for name, col in columns.items():
+        field = f'"{name}": '
+        if None in col:
+            parts.append("%s")
+            cols.append(["" if v is None else ",\n   " + field + v for v in col])
+        else:
+            parts.append((",\n   " if parts else "   ") + field + "%s")
+            cols.append(col)
+    template = "  {\n" + "".join(parts) + "\n  }"
+    records = [template % values for values in zip(*cols)]
+    text = json.dumps({**head, key: []}, indent=1)
+    if records:
+        text = text[: -len("[]\n}")] + "[\n" + ",\n".join(records) + "\n ]\n}"
+    return text + "\n"
+
+
 def _projective_rows(vectors: np.ndarray, layers: np.ndarray, b: np.ndarray):
-    """Projective coordinates per row (None at infinity) and the max |B(p, p)| per layer."""
+    """JSON text of each row's projective coordinates, and the max |B(p, p)| per layer.
+
+    A row at infinity reads null.
+    """
     coords, finite = projective_coords(vectors)
     residuals = np.abs(quadratic_form(b, coords))
     by_layer = {
         str(k): float(residuals[finite & (layers == k)].max()) for k in np.unique(layers[finite])
     }
-    rows = [c if f else None for c, f in zip(coords.tolist(), finite.tolist())]
-    return rows, by_layer
+    texts = _list_texts(coords)
+    for i in np.flatnonzero(~finite).tolist():
+        texts[i] = "null"
+    return texts, by_layer
 
 
 def cmd_roots(args) -> int:
     if args.depth < 1:
         raise _CliError(EXIT_PARSE, f"--depth must be >= 1, got {args.depth}")
     g = _read_graph(args.graph)
-    records = roots_up_to_depth(g, args.depth, max_records=_max_records(args))
-    vectors = np.array([r.vector for r in records])
-    depths = np.array([r.depth for r in records])
+    vectors, depths, heights = _root_columns(g, args.depth, max_records=_max_records(args))
     projective, residual_by_depth = _projective_rows(vectors, depths, g.gram)
-    rows = [
-        {"coords": coords, "depth": r.depth, "height": r.height, "projective": proj}
-        for r, coords, proj in zip(records, vectors.tolist(), projective)
-    ]
-    doc = {
+    head = {
         "graph": to_compact(g),
         "max_depth": args.depth,
-        "count": len(rows),
+        "count": len(vectors),
         "quadratic_residual_by_depth": residual_by_depth,
-        "records": rows,
     }
-    _emit(json.dumps(doc, indent=1) + "\n", args.out)
+    columns = {
+        "coords": _list_texts(vectors),
+        "depth": _int_texts(depths),
+        "height": _float_texts(heights),
+        "projective": projective,
+    }
+    _emit(_dump_records(head, "records", columns), args.out)
     return 0
 
 
@@ -188,32 +261,27 @@ def cmd_weights(args) -> int:
     if args.length < 0:
         raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
     g = _read_graph(args.graph)
-    records = weights_up_to_length(g, args.length, max_records=_max_records(args))
-    vectors = np.array([r.vector for r in records])
-    lengths = np.array([r.word_length for r in records])
+    vectors, lengths, colors, norms, classes = _weight_columns(
+        g, args.length, max_records=_max_records(args)
+    )
     projective, residual_by_length = _projective_rows(vectors, lengths, g.gram)
-    rows = [
-        {
-            "coords": coords,
-            "word_length": r.word_length,
-            "height": height,
-            "norm": r.norm,
-            "class": r.klass.value,
-            "color": r.color,
-            "projective": proj,
-        }
-        for r, coords, height, proj in zip(
-            records, vectors.tolist(), vectors.sum(axis=1).tolist(), projective
-        )
-    ]
-    doc = {
+    head = {
         "graph": to_compact(g),
         "max_length": args.length,
-        "count": len(rows),
+        "count": len(vectors),
         "quadratic_residual_by_length": residual_by_length,
-        "records": rows,
     }
-    _emit(json.dumps(doc, indent=1) + "\n", args.out)
+    class_text = {k: json.dumps(k.value) for k in VectorClass}
+    columns = {
+        "coords": _list_texts(vectors),
+        "word_length": _int_texts(lengths),
+        "height": _float_texts(vectors.sum(axis=1)),
+        "norm": _float_texts(norms),
+        "class": [class_text[k] for k in classes],
+        "color": _int_texts(colors),
+        "projective": projective,
+    }
+    _emit(_dump_records(head, "records", columns), args.out)
     return 0
 
 
@@ -223,11 +291,14 @@ def cmd_pack(args) -> int:
         raise _CliError(EXIT_SVG_RANK, f"svg output requires rank 4 (disks), got rank {g.rank}")
     b = g.gram
     frame = lorentz_frame(b, args.tol)
-    records = weights_up_to_length(g, args.length, max_records=_max_records(args))
-    spacelike = [w for w in records if w.klass is VectorClass.SPACE_LIKE]
-    report = validate_cluster(spacelike, b)
-    raw_caps = [cap_of(w.vector, frame, b) for w in spacelike]
-    balls, caps, rot = project_packing(raw_caps)
+    vectors, lengths, colors, norms, classes = _weight_columns(
+        g, args.length, max_records=_max_records(args)
+    )
+    space = classes == VectorClass.SPACE_LIKE
+    vectors, lengths, colors, norms = vectors[space], lengths[space], colors[space], norms[space]
+    report = _cluster_report(_unit_rows(vectors, norms), range(len(vectors)), b)
+    centers, radii = _cap_rows(vectors, frame, b)
+    (kappa, kc, offsets), centers, rot = _project_rows(centers, radii)
 
     m = np.array(frame.basis_change)
     if rot.size:
@@ -237,7 +308,7 @@ def cmd_pack(args) -> int:
 
     summary = (
         f"is_packing={'true' if report.is_packing else 'false'} "
-        f"min_separation={report.min_separation:.9f} balls={len(balls)} "
+        f"min_separation={report.min_separation:.9f} balls={len(kappa)} "
         f"orbit_length={args.length}"
     )
 
@@ -248,26 +319,14 @@ def cmd_pack(args) -> int:
             canvas_width=args.canvas,
             canvas_height=args.canvas,
         )
-        triples = [(ball, w.color, w.word_length) for ball, w in zip(balls, spacelike)]
+        balls = _balls_of_rows(kappa, kc, offsets)
+        triples = list(zip(balls, colors.tolist(), lengths.tolist()))
         _emit(svg_packing(triples, spec, summary), args.out)
         return 0
 
-    rows = []
-    for ball, cap, w in zip(balls, caps, spacelike):
-        row = {
-            "color": w.color,
-            "word_length": w.word_length,
-            "cap_center": [float(x) for x in cap.center],
-            "cap_radius": cap.angular_radius,
-            "curvature": ball.curvature,
-            "curvature_center": [float(x) for x in ball.curvature_center],
-        }
-        if ball.is_halfspace:
-            row["halfspace_offset"] = ball.halfspace_offset
-        rows.append(row)
-    doc = {
+    head = {
         "graph": to_compact(g),
-        "frame": [[float(x) for x in row] for row in m],
+        "frame": m.tolist(),
         "orbit_length": args.length,
         "validation": {
             "is_packing": report.is_packing,
@@ -277,9 +336,22 @@ def cmd_pack(args) -> int:
             "n_violating_pairs": len(report.violating_pairs),
             "n_deep_pairs": len(report.deep_pairs),
         },
-        "balls": rows,
     }
-    _emit(json.dumps(doc, indent=1) + "\n", args.out)
+    # as EuclideanBall.is_halfspace: any ball of curvature 0.0 carries the key
+    offset_texts = [
+        None if k != 0.0 else "null" if t == "NaN" else t
+        for k, t in zip(kappa.tolist(), _float_texts(offsets))
+    ]
+    columns = {
+        "color": _int_texts(colors),
+        "word_length": _int_texts(lengths),
+        "cap_center": _list_texts(centers),
+        "cap_radius": _float_texts(radii),
+        "curvature": _float_texts(kappa),
+        "curvature_center": _list_texts(kc),
+        "halfspace_offset": offset_texts,
+    }
+    _emit(_dump_records(head, "balls", columns), args.out)
     return 0
 
 

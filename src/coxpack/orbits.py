@@ -57,14 +57,20 @@ def spacelike_unit_rows(weights) -> tuple[np.ndarray, list[int]]:
     (the vertices of a Coxeter complex).  The rows are B-unit normals of the
     weights' balls; with no space-like weight there are none.
     """
-    rows, ids = [], []
+    rows, norms, ids = [], [], []
     dim = 0
     for i, w in enumerate(weights):
         dim = len(w.vector)
         if w.klass is VectorClass.SPACE_LIKE:
-            rows.append(w.vector / math.sqrt(w.norm))
+            rows.append(w.vector)
+            norms.append(w.norm)
             ids.append(i)
-    return np.array(rows).reshape(len(ids), dim), ids
+    return _unit_rows(np.array(rows).reshape(len(ids), dim), np.array(norms, dtype=float)), ids
+
+
+def _unit_rows(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Rows v / sqrt(norm), elementwise: the bits of one row at a time."""
+    return vectors / np.sqrt(norms)[:, None]
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,21 @@ def quadratic_form(b: np.ndarray, vectors) -> np.ndarray:
     return np.einsum("ij,ij->i", vectors @ b, vectors)
 
 
+def _root_columns(
+    g: CoxeterGraph, depth: int, max_records: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """roots_up_to_depth as arrays: the roots as rows, their depths and their heights."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    vectors, depths, heights = [], [], []
+    layers = _orbit_layers(g.gram, np.eye(g.rank), -1)
+    for d, (layer, *_) in enumerate(_capped(layers, depth, max_records, "root generation"), 1):
+        vectors.append(layer)
+        depths.append(np.full(len(layer), d))
+        heights.append(layer.sum(axis=1))
+    return np.concatenate(vectors), np.concatenate(depths), np.concatenate(heights)
+
+
 def roots_up_to_depth(
     g: CoxeterGraph, depth: int, max_records: int | None = None
 ) -> list[RootRecord]:
@@ -233,14 +254,11 @@ def roots_up_to_depth(
     previous one with no lookups.  A root's depth is the least number of
     simple reflections taking a simple root to it.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    records: list[RootRecord] = []
-    layers = _orbit_layers(g.gram, np.eye(g.rank), -1)
-    for d, (layer, *_) in enumerate(_capped(layers, depth, max_records, "root generation"), 1):
-        heights = layer.sum(axis=1).tolist()
-        records += [RootRecord(v, d, h) for v, h in zip(_frozen(layer), heights)]
-    return records
+    vectors, depths, heights = _root_columns(g, depth, max_records)
+    return [
+        RootRecord(v, d, h)
+        for v, d, h in zip(_frozen(vectors), depths.tolist(), heights.tolist())
+    ]
 
 
 def classify_norm(norm: float, reference_norm: float) -> VectorClass:
@@ -248,6 +266,34 @@ def classify_norm(norm: float, reference_norm: float) -> VectorClass:
     if abs(norm) <= thr:
         return VectorClass.LIGHT_LIKE
     return VectorClass.SPACE_LIKE if norm > 0 else VectorClass.TIME_LIKE
+
+
+def _weight_columns(
+    g: CoxeterGraph, length: int, max_records: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """weights_up_to_length as arrays: weights as rows, word lengths, colors, norms, classes.
+
+    The classes are VectorClass members in an object array.
+    """
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    b = g.gram
+    fund, fund_norms = fundamental_weights(b)
+    vectors, lengths, colors, norms = [], [], [], []
+    layers = _orbit_layers(b, fund, +1)
+    for ell, (layer, layer_colors, *_) in enumerate(
+        _capped(layers, length + 1, max_records, "weight generation")
+    ):
+        vectors.append(layer)
+        lengths.append(np.full(len(layer), ell))
+        colors.append(layer_colors)
+        norms.append(quadratic_form(b, layer))
+    colors, norms = np.concatenate(colors), np.concatenate(norms)
+    classes = np.array(
+        [classify_norm(n, r) for n, r in zip(norms.tolist(), fund_norms[colors].tolist())],
+        dtype=object,
+    )
+    return np.concatenate(vectors), np.concatenate(lengths), colors, norms, classes
 
 
 def weights_up_to_length(
@@ -262,21 +308,13 @@ def weights_up_to_length(
     length, is the length of the shortest element w with w(omega_s) equal
     to it; generators fixing a weight therefore never inflate it.
     """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    b = g.gram
-    fund, fund_norms = fundamental_weights(b)
-    records: list[WeightRecord] = []
-    layers = _orbit_layers(b, fund, +1)
-    for ell, (layer, colors, *_) in enumerate(
-        _capped(layers, length + 1, max_records, "weight generation")
-    ):
-        norms = quadratic_form(b, layer).tolist()
-        records += [
-            WeightRecord(v, ell, norm, classify_norm(norm, fund_norms[s]), s)
-            for v, norm, s in zip(_frozen(layer), norms, colors.tolist())
-        ]
-    return records
+    vectors, lengths, colors, norms, classes = _weight_columns(g, length, max_records)
+    return [
+        WeightRecord(v, ell, norm, klass, s)
+        for v, ell, norm, klass, s in zip(
+            _frozen(vectors), lengths.tolist(), norms.tolist(), classes, colors.tolist()
+        )
+    ]
 
 
 def projective_coords(vectors) -> tuple[np.ndarray, np.ndarray]:

@@ -94,6 +94,13 @@ def test_max_records_below_one_is_usage_error(graph_file, capsys, universal4, ca
         assert code == 2 and "--max-records" in err
 
 
+@pytest.mark.parametrize("mem", ["0", "-5"])
+def test_max_mem_below_one_is_usage_error(graph_file, capsys, universal4, monkeypatch, mem):
+    monkeypatch.setenv("COXPACK_MAX_MEM", mem)
+    code, _, err = run(capsys, ["roots", graph_file(universal4), "--depth", "3"])
+    assert code == 2 and "COXPACK_MAX_MEM" in err
+
+
 def test_roots_env_cap(graph_file, capsys, universal4, monkeypatch):
     monkeypatch.setenv("COXPACK_MAX_MEM", "4096")
     code, _, err = run(capsys, ["roots", graph_file(universal4), "--depth", "8"])
