@@ -15,7 +15,14 @@ from enum import Enum
 import numpy as np
 
 from .forms import DEFAULT_ZERO_TOL, NotLorentzianError, signature
-from .orbits import _ISO_TOL, ProjectivePoint, bilinear, normalize_spacelike, spacelike_unit_rows
+from .orbits import (
+    _ISO_TOL,
+    ProjectivePoint,
+    _unit_rows,
+    bilinear,
+    normalize_spacelike,
+    spacelike_unit_rows,
+)
 
 _ALGEBRAIC_TOL = 1e-9
 _ANGULAR_TOL = 1e-6
@@ -176,7 +183,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def _check_caps(centers: np.ndarray, radii: np.ndarray) -> None:
     """SphericalCap's checks on cap rows."""
-    if (np.abs(np.linalg.norm(centers, axis=1) - 1.0) > 1e-12).any():
+    if (np.abs(_row_norms(centers) - 1.0) > 1e-12).any():
         raise ValueError("cap center must be a unit vector")
     bad = np.flatnonzero(~((0.0 < radii) & (radii < math.pi)))
     if bad.size:
@@ -220,7 +227,7 @@ def _stereographic_rows(centers: np.ndarray, radii: np.ndarray, pole_axis: int):
     """stereographic for each cap row: curvatures, curvature centers as rows, offsets.
 
     A half-space row has curvature 0.0, its unit normal as curvature
-    center and its offset; every other row has offset NaN.  Cosines,
+    center and its offset; every other row has offset None.  Cosines,
     sines and arccosines go through math, row by row, for the same bits
     as one cap at a time.
     """
@@ -232,14 +239,15 @@ def _stereographic_rows(centers: np.ndarray, radii: np.ndarray, pole_axis: int):
     half = _pole_gaps(c_s, radii) <= _ALGEBRAIC_TOL
     kappa = (cos_r - c_s) / sin_r
     kc = c_w / sin_r[:, None]
-    offsets = np.full(len(radii), math.nan)
+    offsets: list[float | None] = [None] * len(radii)
     if half.any():
         w = _row_norms(c_w[half])
         if (w < 1e-12).any():
             raise ValueError("degenerate cap: boundary through the pole with axial center")
         kappa[half] = 0.0
         kc[half] = c_w[half] / w[:, None]
-        offsets[half] = cos_r[half] / w
+        for i, offset in zip(np.flatnonzero(half).tolist(), (cos_r[half] / w).tolist()):
+            offsets[i] = offset
     return kappa, kc, offsets
 
 
@@ -249,12 +257,9 @@ def _pole_gaps(c_s: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return np.abs(np.array(angles) - radii)
 
 
-def _balls_of_rows(kappa: np.ndarray, kc: np.ndarray, offsets: np.ndarray) -> list[EuclideanBall]:
+def _balls_of_rows(kappa: np.ndarray, kc: np.ndarray, offsets: list) -> list[EuclideanBall]:
     """EuclideanBall of each row of _stereographic_rows."""
-    return [
-        EuclideanBall(k, _readonly(c), None if math.isnan(o) else o)
-        for k, c, o in zip(kappa.tolist(), kc, offsets.tolist())
-    ]
+    return [EuclideanBall(k, _readonly(c), o) for k, c, o in zip(kappa.tolist(), kc, offsets)]
 
 
 def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> ClusterReport:
@@ -378,6 +383,42 @@ def _project_rows(centers: np.ndarray, radii: np.ndarray, retries: int = 3):
         current = (rot @ centers[:, :, None])[:, :, 0]  # row by row, as in _cap_rows
         _check_caps(current, radii)
     raise AssertionError("unreachable")
+
+
+@dataclass(frozen=True)
+class _PackingRows:
+    """A packing's audit, caps and balls as arrays, one row per space-like weight.
+
+    Row i is validate_cluster's, cap_of's and project_packing's result for
+    weight i, with its bits; the caps are the ones projected, in the
+    frame rotated by `rotation` when project_packing nudged it.
+    """
+
+    report: ClusterReport
+    cap_centers: np.ndarray
+    cap_radii: np.ndarray
+    curvatures: np.ndarray
+    curvature_centers: np.ndarray
+    halfspace_offsets: list[float | None]
+    rotation: np.ndarray
+
+    @property
+    def halfspace(self) -> np.ndarray:
+        """EuclideanBall.is_halfspace of each row."""
+        return self.curvatures == 0.0
+
+    def balls(self) -> list[EuclideanBall]:
+        return _balls_of_rows(self.curvatures, self.curvature_centers, self.halfspace_offsets)
+
+
+def _packing_rows(
+    vectors: np.ndarray, norms: np.ndarray, frame: LorentzFrame, b: np.ndarray
+) -> _PackingRows:
+    """The packing of space-like weight rows with B(v, v) = norms, in `frame`."""
+    report = _cluster_report(_unit_rows(vectors, norms), range(len(vectors)), b)
+    centers, radii = _cap_rows(vectors, frame, b)
+    (kappa, kc, offsets), centers, rot = _project_rows(centers, radii)
+    return _PackingRows(report, centers, radii, kappa, kc, offsets, rot)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -11,13 +11,7 @@ import sys
 import numpy as np
 
 from . import census as census_mod
-from .balls import (
-    _balls_of_rows,
-    _cap_rows,
-    _cluster_report,
-    _project_rows,
-    lorentz_frame,
-)
+from .balls import _packing_rows, lorentz_frame
 from .forms import (
     FormError,
     SingularFormError,
@@ -31,7 +25,6 @@ from .groups import OrbitCapError
 from .orbits import (
     VectorClass,
     _root_columns,
-    _unit_rows,
     _weight_columns,
     classify_norm,
     projective_coords,
@@ -165,9 +158,11 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _float_texts(values) -> list[str]:
     """json.dumps' text for each float of an array, flattened.
 
-    Each distinct bit pattern is formatted once: orbit coordinates repeat
-    a lot.  float.__repr__, not repr: numpy 2's repr of a numpy float names
-    its type.
+    Each distinct bit pattern is formatted once.  Only 0.1-22% of the
+    values in a roots or weights column of the benchmark's systems are
+    distinct, and there this is 4-10 times faster than formatting every
+    value; where no value repeats it costs about the same.  float.__repr__,
+    not repr: numpy 2's repr of a numpy float names its type.
     """
     flat = np.ascontiguousarray(values, dtype=float).ravel()
     bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
@@ -286,6 +281,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    if args.length < 0:
+        raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
     g = _read_graph(args.graph)
     if args.format == "svg" and g.rank != 4:
         raise _CliError(EXIT_SVG_RANK, f"svg output requires rank 4 (disks), got rank {g.rank}")
@@ -295,20 +292,19 @@ def cmd_pack(args) -> int:
         g, args.length, max_records=_max_records(args)
     )
     space = classes == VectorClass.SPACE_LIKE
-    vectors, lengths, colors, norms = vectors[space], lengths[space], colors[space], norms[space]
-    report = _cluster_report(_unit_rows(vectors, norms), range(len(vectors)), b)
-    centers, radii = _cap_rows(vectors, frame, b)
-    (kappa, kc, offsets), centers, rot = _project_rows(centers, radii)
+    lengths, colors = lengths[space], colors[space]
+    packing = _packing_rows(vectors[space], norms[space], frame, b)
+    report = packing.report
 
     m = np.array(frame.basis_change)
-    if rot.size:
+    if packing.rotation.size:
         ext = np.eye(g.rank)
-        ext[: g.rank - 1, : g.rank - 1] = rot
+        ext[: g.rank - 1, : g.rank - 1] = packing.rotation
         m = m @ ext.T
 
     summary = (
         f"is_packing={'true' if report.is_packing else 'false'} "
-        f"min_separation={report.min_separation:.9f} balls={len(kappa)} "
+        f"min_separation={report.min_separation:.9f} balls={len(lengths)} "
         f"orbit_length={args.length}"
     )
 
@@ -319,8 +315,7 @@ def cmd_pack(args) -> int:
             canvas_width=args.canvas,
             canvas_height=args.canvas,
         )
-        balls = _balls_of_rows(kappa, kc, offsets)
-        triples = list(zip(balls, colors.tolist(), lengths.tolist()))
+        triples = list(zip(packing.balls(), colors.tolist(), lengths.tolist()))
         _emit(svg_packing(triples, spec, summary), args.out)
         return 0
 
@@ -337,19 +332,17 @@ def cmd_pack(args) -> int:
             "n_deep_pairs": len(report.deep_pairs),
         },
     }
-    # as EuclideanBall.is_halfspace: any ball of curvature 0.0 carries the key
-    offset_texts = [
-        None if k != 0.0 else "null" if t == "NaN" else t
-        for k, t in zip(kappa.tolist(), _float_texts(offsets))
-    ]
     columns = {
         "color": _int_texts(colors),
         "word_length": _int_texts(lengths),
-        "cap_center": _list_texts(centers),
-        "cap_radius": _float_texts(radii),
-        "curvature": _float_texts(kappa),
-        "curvature_center": _list_texts(kc),
-        "halfspace_offset": offset_texts,
+        "cap_center": _list_texts(packing.cap_centers),
+        "cap_radius": _float_texts(packing.cap_radii),
+        "curvature": _float_texts(packing.curvatures),
+        "curvature_center": _list_texts(packing.curvature_centers),
+        "halfspace_offset": [
+            json.dumps(offset) if half else None
+            for half, offset in zip(packing.halfspace.tolist(), packing.halfspace_offsets)
+        ],
     }
     _emit(_dump_records(head, "balls", columns), args.out)
     return 0

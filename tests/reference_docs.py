@@ -1,10 +1,12 @@
 """Reference `roots`, `weights` and `pack` documents, built one record at a time.
 
 These are the command line's document builders from before it wrote columns:
-every record is a dict, the document goes through json.dumps(doc, indent=1),
-and the balls come from per-cap arithmetic (cap_of, stereographic and
-project_packing one cap at a time).  The command line must write the same
-bytes.
+the orbits are collected one layer at a time into RootRecord and
+WeightRecord lists, every record is a dict, the document goes through
+json.dumps(doc, indent=1), the unit rows of the packing audit are divided
+one weight at a time, and the balls come from per-cap arithmetic (cap_of,
+stereographic and project_packing one cap at a time).  None of it calls the
+command line's array code, which must write the same bytes.
 """
 
 from __future__ import annotations
@@ -15,9 +17,46 @@ import math
 import numpy as np
 
 import coxpack as cp
+from coxpack import balls as balls_mod
 from coxpack.balls import EuclideanBall, SphericalCap
-from coxpack.orbits import VectorClass, normalize_spacelike, projective_coords, quadratic_form
+from coxpack.forms import fundamental_weights
+from coxpack.orbits import (
+    RootRecord,
+    VectorClass,
+    WeightRecord,
+    _capped,
+    _orbit_layers,
+    classify_norm,
+    normalize_spacelike,
+    projective_coords,
+    quadratic_form,
+)
 from coxpack.render import RenderSpec, svg_packing
+
+
+def roots(g, depth: int) -> list[RootRecord]:
+    records = []
+    layers = _orbit_layers(g.gram, np.eye(g.rank), -1)
+    for d, (layer, *_) in enumerate(_capped(layers, depth, None, "root generation"), 1):
+        heights = layer.sum(axis=1).tolist()
+        records += [RootRecord(v, d, h) for v, h in zip(layer, heights)]
+    return records
+
+
+def weights(g, length: int) -> list[WeightRecord]:
+    b = g.gram
+    fund, fund_norms = fundamental_weights(b)
+    records = []
+    layers = _orbit_layers(b, fund, +1)
+    for ell, (layer, colors, *_) in enumerate(
+        _capped(layers, length + 1, None, "weight generation")
+    ):
+        norms = quadratic_form(b, layer).tolist()
+        records += [
+            WeightRecord(v, ell, norm, classify_norm(norm, fund_norms[s]), s)
+            for v, norm, s in zip(layer, norms, colors.tolist())
+        ]
+    return records
 
 
 def _projective_rows(vectors: np.ndarray, layers: np.ndarray, b: np.ndarray):
@@ -31,7 +70,7 @@ def _projective_rows(vectors: np.ndarray, layers: np.ndarray, b: np.ndarray):
 
 
 def roots_text(g, depth: int) -> str:
-    records = cp.roots_up_to_depth(g, depth)
+    records = roots(g, depth)
     vectors = np.array([r.vector for r in records])
     depths = np.array([r.depth for r in records])
     projective, residual_by_depth = _projective_rows(vectors, depths, g.gram)
@@ -50,7 +89,7 @@ def roots_text(g, depth: int) -> str:
 
 
 def weights_text(g, length: int) -> str:
-    records = cp.weights_up_to_length(g, length)
+    records = weights(g, length)
     vectors = np.array([r.vector for r in records])
     lengths = np.array([r.word_length for r in records])
     projective, residual_by_length = _projective_rows(vectors, lengths, g.gram)
@@ -81,6 +120,29 @@ def weights_text(g, length: int) -> str:
 # -- balls, one cap at a time ---------------------------------------------
 
 
+def audit(spacelike, b, tol: float = 1e-9):
+    """validate_cluster's packing flag, minimum separation and pair counts.
+
+    The separations are the same chunked products; each chunk's upper
+    triangle is reduced at once.
+    """
+    k = len(spacelike)
+    if k < 2:
+        return True, math.inf, 0, 0
+    unit = np.array([w.vector / math.sqrt(w.norm) for w in spacelike])
+    bu = unit @ b
+    chunk = max(1, int(4e6) // k)
+    seps = []
+    for lo in range(0, k, chunk):
+        block = -(bu[lo : lo + chunk] @ unit.T)
+        seps.append(block[np.triu_indices(len(block), lo + 1, k)])
+    seps = np.concatenate(seps)
+    low = seps < 1.0 - tol
+    n_violating = int(low.sum())
+    n_deep = int((low & (seps < -tol)).sum())
+    return n_violating == 0, float(seps.min()), n_violating, n_deep
+
+
 def cap_of(x, frame, b) -> SphericalCap:
     xhat = normalize_spacelike(x, b)
     y = frame.to_frame(xhat)
@@ -97,7 +159,7 @@ def stereographic(cap: SphericalCap, pole_axis: int) -> EuclideanBall:
     c_w = np.delete(cap.center, pole_axis)
     cos_r = math.cos(cap.angular_radius)
     gap = abs(math.acos(max(-1.0, min(1.0, c_s))) - cap.angular_radius)
-    if gap <= 1e-9:
+    if gap <= balls_mod._ALGEBRAIC_TOL:  # read at call time, as the package does
         w = float(np.linalg.norm(c_w))
         return EuclideanBall(0.0, c_w / w, cos_r / w)
     sin_r = math.sin(cap.angular_radius)
@@ -133,9 +195,8 @@ def pack_text(g, length: int, fmt: str = "json", tol: float = 1e-3) -> str:
     """`coxpack pack` output at the default --min-radius and --canvas."""
     b = g.gram
     frame = cp.lorentz_frame(b, tol)
-    records = cp.weights_up_to_length(g, length)
-    spacelike = [w for w in records if w.klass is VectorClass.SPACE_LIKE]
-    report = cp.validate_cluster(spacelike, b)
+    spacelike = [w for w in weights(g, length) if w.klass is VectorClass.SPACE_LIKE]
+    is_packing, min_separation, n_violating, n_deep = audit(spacelike, b)
     raw_caps = [cap_of(w.vector, frame, b) for w in spacelike]
     balls, caps, rot = project_packing(raw_caps)
 
@@ -146,8 +207,8 @@ def pack_text(g, length: int, fmt: str = "json", tol: float = 1e-3) -> str:
         m = m @ ext.T
 
     summary = (
-        f"is_packing={'true' if report.is_packing else 'false'} "
-        f"min_separation={report.min_separation:.9f} balls={len(balls)} "
+        f"is_packing={'true' if is_packing else 'false'} "
+        f"min_separation={min_separation:.9f} balls={len(balls)} "
         f"orbit_length={length}"
     )
     if fmt == "svg":
@@ -173,12 +234,10 @@ def pack_text(g, length: int, fmt: str = "json", tol: float = 1e-3) -> str:
         "frame": [[float(x) for x in row] for row in m],
         "orbit_length": length,
         "validation": {
-            "is_packing": report.is_packing,
-            "min_separation": None
-            if math.isinf(report.min_separation)
-            else report.min_separation,
-            "n_violating_pairs": len(report.violating_pairs),
-            "n_deep_pairs": len(report.deep_pairs),
+            "is_packing": is_packing,
+            "min_separation": None if math.isinf(min_separation) else min_separation,
+            "n_violating_pairs": n_violating,
+            "n_deep_pairs": n_deep,
         },
         "balls": rows,
     }

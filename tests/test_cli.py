@@ -189,6 +189,12 @@ def test_tangency_negative_length_is_usage_error(graph_file, capsys, universal4)
     assert code == 2 and "--length" in err
 
 
+@pytest.mark.parametrize("cmd", ["weights", "pack"])
+def test_negative_length_is_usage_error(graph_file, capsys, universal4, cmd):
+    code, _, err = run(capsys, [cmd, graph_file(universal4), "--length", "-1"])
+    assert code == 2 and "--length" in err
+
+
 def test_enum_rank5(tmp_path, capsys):
     out_csv = tmp_path / "census.csv"
     out_json = tmp_path / "census.json"

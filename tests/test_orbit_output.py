@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import coxpack as cp
 import reference_docs as ref
-from coxpack.balls import project_packing
+from coxpack.balls import _check_caps, project_packing
 from coxpack.cli import _dump_records, _float_texts, _int_texts, _list_texts, main
 
 # The acceptance limit systems at the benchmark's roots depth, weights length
@@ -99,6 +99,19 @@ def test_zero_height_weights_read_null(tmp_path):
     assert same_text(got, ref.weights_text(g, 4))
     assert same_text(cli_text(tmp_path, g, ["roots", "--depth", "5"]), ref.roots_text(g, 5))
     assert same_text(cli_text(tmp_path, g, ["pack", "--length", "4"]), ref.pack_text(g, 4))
+
+
+def test_halfspace_rows_match_reference(tmp_path, monkeypatch):
+    # A wide pole-gap tolerance turns the caps whose boundary passes near
+    # the pole into half-spaces.
+    monkeypatch.setattr(cp.balls, "_ALGEBRAIC_TOL", 0.2)
+    g = cp.parse_compact(SYSTEMS["cycle5"][0])
+    got = cli_text(tmp_path, g, ["pack", "--length", "4"])
+    rows = json.loads(got)["balls"]
+    half = [r for r in rows if "halfspace_offset" in r]
+    assert half and len(half) < len(rows)
+    assert all(r["curvature"] == 0.0 for r in half)
+    assert same_text(got, ref.pack_text(g, 4))
 
 
 def test_pack_without_balls(tmp_path):
@@ -247,6 +260,43 @@ def test_packing_rotation_matches_one_cap_at_a_time():
         assert got.center.tobytes() == want.center.tobytes()
     for got, want in zip(balls, want_balls, strict=True):
         _same_ball(got, want)
+
+
+def test_cap_checks_decide_as_spherical_cap():
+    rng = np.random.default_rng(11)
+    centers = rng.normal(size=(400, 4))
+    centers /= np.linalg.norm(centers, axis=1)[:, None]
+    # |center| - 1 at +-1e-12 give or take the last bits: the check's own bound
+    centers *= 1.0 + np.where(np.arange(len(centers)) % 2, 1e-12, -1e-12)[:, None]
+    unit = []
+    for c in centers:
+        try:
+            cp.SphericalCap(c, 1.0)
+        except ValueError:
+            unit.append(False)
+        else:
+            unit.append(True)
+    unit = np.array(unit)
+    assert unit.any() and not unit.all()
+    _check_caps(centers[unit], np.ones(unit.sum()))
+    for c in centers[~unit]:
+        with pytest.raises(ValueError, match="unit vector"):
+            _check_caps(np.vstack([centers[unit], c]), np.ones(unit.sum() + 1))
+
+
+@pytest.mark.parametrize("name", ["universal4", "cycle5"])
+def test_record_lists_match_per_layer_reference(name):
+    g = cp.parse_compact(SYSTEMS[name][0])
+    for got, want in (
+        (cp.roots_up_to_depth(g, 6), ref.roots(g, 6)),
+        (cp.weights_up_to_length(g, 5), ref.weights(g, 5)),
+    ):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.vector.tobytes() == b.vector.tobytes()
+            assert [v for k, v in vars(a).items() if k != "vector"] == [
+                v for k, v in vars(b).items() if k != "vector"
+            ]
 
 
 def test_halfspace_ball_matches_one_cap_at_a_time():
