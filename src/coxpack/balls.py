@@ -284,23 +284,21 @@ def _cluster_report(unit: np.ndarray, ids, b: np.ndarray, tol: float = _ALGEBRAI
     violating: list[tuple[int, int, float]] = []
     deep: list[tuple[int, int, float]] = []
     chunk = max(1, int(4e6) // k)
-    for lo in range(0, k, chunk):
+    for lo in range(0, k - 1, chunk):  # the last row has no pair j > i
         hi = min(k, lo + chunk)
         seps = -(bu[lo:hi] @ unit.T)
-        for r in range(hi - lo):
-            i = lo + r
-            row = seps[r, i + 1 :]
-            if row.size == 0:
-                continue
-            m = float(row.min())
-            min_sep = min(min_sep, m)
-            if m < 1.0 - tol:
-                for off in np.nonzero(row < 1.0 - tol)[0]:
-                    j = i + 1 + int(off)
-                    s = float(row[off])
-                    violating.append((ids[i], ids[j], s))
-                    if s < -tol:
-                        deep.append((ids[i], ids[j], s))
+        # row i's pairs j > i are one run of the flat chunk; reduce every run at once
+        rows = np.arange(min(hi, k - 1) - lo)
+        cuts = np.stack([rows * k + lo + rows + 1, (rows + 1) * k], axis=1).ravel()
+        low = np.minimum.reduceat(seps.ravel(), cuts[cuts < seps.size])[::2]
+        min_sep = min(min_sep, float(low.min()))
+        for r in np.flatnonzero(low < 1.0 - tol):
+            i = lo + int(r)
+            for j in np.flatnonzero(seps[r, i + 1 :] < 1.0 - tol) + i + 1:
+                s = float(seps[r, j])
+                violating.append((ids[i], ids[int(j)], s))
+                if s < -tol:
+                    deep.append((ids[i], ids[int(j)], s))
     return ClusterReport(
         is_packing=not violating,
         min_separation=min_sep,

@@ -13,16 +13,17 @@ semidefinite) and some one-vertex deletion is not; a principal submatrix of
 a positive semidefinite matrix is positive semidefinite (Cauchy
 interlacing), so the full matrix then fails too and needs no test of its
 own.  The minor a two-vertex deletion keeps depends only on the labels of
-the free pairs inside it, so each deletion decides the table of those
-sub-labelings once and every candidate reads its verdict by mixed-radix
+the free pairs inside it, so each deletion of each batch has a table of
+those sub-labelings, and every candidate reads its verdict by mixed-radix
 code; a table row is bitwise the candidate's own minor, so the verdicts are
-exactly those of a per-candidate filter.  The one-vertex deletions are then
-decided for the few candidates left.  The level-1 catalog decides levels 0
-and 1 on Gram stacks and keys only the graphs it keeps; level is invariant
-under isomorphism, so the first representative of each kept class is
-unchanged.  Survivors are deduplicated by canonical key, and every entry is
-re-verified by direct level computation before it is admitted.  The census
-runs in one process.
+exactly those of a per-candidate filter.  The tables of all batches of one
+family and rank are decided together, in blocks of rows, and the one-vertex
+deletions then in one stack for the candidates left.  The level-1 catalog
+decides levels 0 and 1 on Gram stacks and keys only the graphs it keeps;
+level is invariant under isomorphism, so the first representative of each
+kept class is unchanged.  Every survivor is verified to have level 2 from
+its own Gram matrix, one stack per rank, before survivors are deduplicated
+by canonical key.  The census runs in one process.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .forms import DEFAULT_ZERO_TOL, fundamental_weights, level, minors_psd
+from .forms import _EIG_CHUNK, DEFAULT_ZERO_TOL, fundamental_weights, minors_psd
 from .graphs import (
     CoxeterGraph,
     EdgeLabel,
@@ -49,7 +50,6 @@ from .tangency import (
     InconsistencyError,
     VertexClass,
     classify_weight_norm,
-    is_strict_level2,
 )
 
 ADMISSIBLE_LABELS = (3, 4, 5, 6)
@@ -107,7 +107,7 @@ def _labeled(base: CoxeterGraph, pairs, labeling) -> CoxeterGraph:
 
 def _label_codes(k: int, radix: int) -> np.ndarray:
     """Every labeling of k free pairs as a row of label indices, in product order."""
-    return np.indices((radix,) * k).reshape(k, radix**k).T
+    return np.indices((radix,) * k, dtype=np.int8).reshape(k, radix**k).T
 
 
 def _member_grams(gram: np.ndarray, pairs, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -262,12 +262,12 @@ def enumerate_level1(
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
     _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, labels, zero_tol)
+    graphs = [
+        g for g in l1_trees + l1_cycles + l1_tailed + _specials() if g.rank <= max_n
+    ]
+    _check_level(graphs, 1, zero_tol, "catalog graph {} is not level 1")
     out: dict[bytes, CoxeterGraph] = {}
-    for g in l1_trees + l1_cycles + l1_tailed + [s for s in _specials() if s.rank <= max_n]:
-        if g.rank > max_n:
-            continue
-        if level(g, zero_tol) != 1:
-            raise InconsistencyError(f"catalog graph {to_compact(g)} is not level 1")
+    for g in graphs:
         out.setdefault(canonical_key(g), g)
     return [out[k] for k in sorted(out)]
 
@@ -394,7 +394,7 @@ def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
     member is built as a graph, so a malformed free pair (out of range, a
     self-loop, or a duplicate of a pair or of a base edge) raises GraphError.
     The census does not build these stacks; tests filter them with
-    _filter_level2_arrays as the reference for _batch_survivors.
+    _filter_level2_arrays as the reference for _rank_survivors.
     """
     values = np.array([lab.gram_entry() for lab in labs])
     for base, pairs in batches:
@@ -409,7 +409,7 @@ def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
 # Recognition: staged, vectorized level-2 filtering.
 # level(g) == 2 is equivalent to: some vertex deletion is not positive
 # semidefinite, and every deletion of two vertices is.  A non-PSD full
-# matrix is a necessary precondition.  _batch_survivors is the census's
+# matrix is a necessary precondition.  _rank_survivors is the census's
 # path; _filter_level2_arrays decides each candidate's own minors and is
 # kept as its test reference.
 # ---------------------------------------------------------------------------
@@ -437,33 +437,117 @@ def _filter_level2(graphs: list[CoxeterGraph], zero_tol: float) -> list[CoxeterG
     return [graphs[i] for i in keep]
 
 
-def _batch_survivors(
-    base: CoxeterGraph, pairs, values: np.ndarray, zero_tol: float
-) -> np.ndarray:
-    """Label codes of the level-2 members of a batch, in product order.
+class _Tables(NamedTuple):
+    """The two-vertex-deletion tables of a batch, one row per sub-labeling.
+
+    Deletion d keeps the vertices keeps[d], and the free pairs inside[d] lie
+    within them.  Row i belongs to deletion drop[i] and labels the free
+    pairs codes[i]: deletion d's table starts at row starts[d] and runs over
+    the labelings of its inside pairs in product order, with code 0 on the
+    pairs it drops.  Its verdicts, shaped radix along each inside pair and
+    1 along the others, broadcast to the verdicts of all batch members.
+    """
+
+    keeps: np.ndarray
+    drop: np.ndarray
+    codes: np.ndarray
+    starts: np.ndarray
+    inside: np.ndarray
+
+
+def _deletion_tables(base: CoxeterGraph, pairs, radix: int) -> _Tables:
+    """Every two-vertex deletion's table of a batch, built as whole arrays."""
+    n = base.rank
+    keeps = np.array(list(combinations(range(n), n - 2)))
+    kept = np.zeros((len(keeps), n), dtype=bool)
+    kept[np.arange(len(keeps))[:, None], keeps] = True
+    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
+    inside = kept[:, u] & kept[:, v]
+    # mixed-radix place value of each inside pair, the first one most significant
+    place = radix ** (np.cumsum(inside[:, ::-1], axis=1)[:, ::-1] - inside)
+    sizes = radix ** inside.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    drop = np.repeat(np.arange(len(keeps)), sizes)
+    row = np.arange(len(drop)) - starts[drop]
+    codes = (row[:, None] // place[drop] % radix * inside[drop]).astype(np.int8)
+    return _Tables(keeps, drop, codes, starts, inside)
+
+
+def _table_minors(batch: Batch, values: np.ndarray, table: _Tables, rows: slice) -> np.ndarray:
+    """The Gram minors of a slice of a batch's table rows, bitwise the members' own."""
+    base, pairs = batch
+    grams = _member_grams(base.gram, pairs, table.codes[rows], values)
+    keep = table.keeps[table.drop[rows]]
+    return grams[np.arange(len(keep))[:, None, None], keep[:, :, None], keep[:, None, :]]
+
+
+def _rank_survivors(batches: list[Batch], values: np.ndarray, zero_tol: float) -> list[np.ndarray]:
+    """Label codes of the level-2 members of same-rank batches, one array per batch.
 
     Every two-vertex deletion must be positive semidefinite, and its minor
-    depends only on the labels of the free pairs it keeps; so each deletion
-    decides the table of those sub-labelings once, and the members read
-    their verdicts by mixed-radix code.  The batch stops once no member is
-    left.  Some one-vertex deletion must then fail, decided on the Gram
-    matrices of the remaining members only; by interlacing, the full matrix
-    then fails too and needs no test of its own.
+    depends only on the labels of the free pairs it keeps.  So the tables
+    of every deletion of every batch are decided once, _EIG_CHUNK rows per
+    minors_psd call across batch boundaries, and each member reads its
+    verdict in each table by its labels of the pairs inside.  Some
+    one-vertex deletion must then fail, decided in one call on the Gram
+    matrices of the members left; by interlacing, the full matrix then
+    fails too and needs no test of its own.
     """
-    n, radix = base.rank, len(values)
-    codes = _label_codes(len(pairs), radix)
-    for drop in combinations(range(n), 2):
-        keep = [v for v in range(n) if v not in drop]
-        inside = [i for i, (u, v) in enumerate(pairs) if u not in drop and v not in drop]
-        local = [(keep.index(pairs[i][0]), keep.index(pairs[i][1])) for i in inside]
-        minor = base.gram[keep][:, keep]
-        table = _member_grams(minor, local, _label_codes(len(inside), radix), values)
-        verdicts = minors_psd(table, 0, zero_tol)
-        codes = codes[verdicts[codes[:, inside] @ radix ** np.arange(len(inside))[::-1]]]
-        if not len(codes):
-            return codes
-    grams = _member_grams(base.gram, pairs, codes, values)
-    return codes[~minors_psd(grams, 1, zero_tol)]
+    radix = len(values)
+    tables = [_deletion_tables(base, pairs, radix) for base, pairs in batches]
+    bounds = np.cumsum([0] + [len(table.drop) for table in tables])
+    verdicts = []
+    for lo in range(0, bounds[-1], _EIG_CHUNK):
+        hi = lo + _EIG_CHUNK
+        block = [
+            _table_minors(batch, values, table, slice(max(lo - start, 0), hi - start))
+            for batch, table, start, end in zip(batches, tables, bounds, bounds[1:])
+            if start < hi and end > lo
+        ]
+        verdicts.append(minors_psd(np.concatenate(block), 0, zero_tol))
+    verdicts = np.concatenate(verdicts)
+
+    left = []
+    for (_, pairs), table, lo in zip(batches, tables, bounds):
+        ok = np.ones((radix,) * len(pairs), dtype=bool)
+        for start, inside in zip(lo + table.starts, table.inside):
+            shape = np.where(inside, radix, 1)
+            ok &= verdicts[start : start + shape.prod()].reshape(shape)
+        left.append(np.argwhere(ok).astype(np.int8))
+    grams = np.concatenate([
+        _member_grams(base.gram, pairs, codes, values) for (base, pairs), codes in zip(batches, left)
+    ])
+    fails = ~minors_psd(grams, 1, zero_tol)
+    ends = np.cumsum([len(codes) for codes in left])
+    return [codes[ok] for codes, ok in zip(left, np.split(fails, ends[:-1]))]
+
+
+def _by_rank(graphs: list[CoxeterGraph], decide) -> np.ndarray:
+    """decide(grams) on one stack of the graphs' own Gram matrices per rank, as one mask."""
+    mask = np.zeros(len(graphs), dtype=bool)
+    for n in sorted({g.rank for g in graphs}):
+        idx = [i for i, g in enumerate(graphs) if g.rank == n]
+        mask[idx] = decide(np.stack([graphs[i].gram for i in idx]))
+    return mask
+
+
+def _check_level(graphs: list[CoxeterGraph], r: int, zero_tol: float, message: str) -> None:
+    """Raise InconsistencyError naming the first graph whose level is not r.
+
+    Decided as forms.level decides, on one Gram stack per rank: level(g) == r
+    when the deletion of r vertices leaves every minor positive semidefinite
+    and no deletion of j < r vertices does.
+    """
+
+    def has_level(grams: np.ndarray) -> np.ndarray:
+        mask = minors_psd(grams, r, zero_tol)
+        for j in range(r):
+            mask &= ~minors_psd(grams, j, zero_tol)
+        return mask
+
+    bad = np.flatnonzero(~_by_rank(graphs, has_level))
+    if bad.size:
+        raise InconsistencyError(message.format(to_compact(graphs[bad[0]])))
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +555,14 @@ def _batch_survivors(
 # ---------------------------------------------------------------------------
 
 
-def _make_entry(g: CoxeterGraph, key: bytes, family: Family, zero_tol: float) -> CensusEntry:
+def _make_entry(g: CoxeterGraph, key: bytes, family: Family, strict: bool) -> CensusEntry:
     _, norms = fundamental_weights(g.gram)
     roles = [classify_weight_norm(norm, level2=True) for norm in norms]
     return CensusEntry(
         g,
         key,
         family,
-        is_strict_level2(g, zero_tol),
+        strict,
         roles.count(VertexClass.IMAGINARY),
         roles.count(VertexClass.REAL),
         roles.count(VertexClass.SURREAL),
@@ -494,20 +578,24 @@ def _family_survivors(
 ) -> list[CoxeterGraph]:
     """Candidates of one family that pass recognition, in nomination order.
 
-    Candidates are filtered batch by batch as label codes; only survivors
-    become graphs.  Each batch's first member is built as a graph, so a
-    malformed free pair (out of range, a self-loop, or a duplicate of a pair
-    or of a base edge) raises GraphError.
+    Candidates are filtered as label codes, the batches of each rank
+    together; only survivors become graphs.  Each batch's first member is
+    built as a graph, so a malformed free pair (out of range, a self-loop,
+    or a duplicate of a pair or of a base edge) raises GraphError.
     """
     values = np.array([lab.gram_entry() for lab in labs])
-    out = []
-    for base, pairs in _nomination_batches(family, level1):
-        if not 5 <= base.rank <= max_rank:
-            continue
+    batches = [b for b in _nomination_batches(family, level1) if 5 <= b[0].rank <= max_rank]
+    for base, pairs in batches:
         _labeled(base, pairs, labs[:1] * len(pairs))
-        for codes in _batch_survivors(base, pairs, values, zero_tol):
-            out.append(_labeled(base, pairs, [labs[c] for c in codes]))
-    return out
+    codes: dict[int, np.ndarray] = {}
+    for n in sorted({base.rank for base, _ in batches}):
+        idx = [i for i, (base, _) in enumerate(batches) if base.rank == n]
+        codes.update(zip(idx, _rank_survivors([batches[i] for i in idx], values, zero_tol)))
+    return [
+        _labeled(base, pairs, [labs[c] for c in row])
+        for i, (base, pairs) in enumerate(batches)
+        for row in codes[i]
+    ]
 
 
 def enumerate_level2(
@@ -519,9 +607,10 @@ def enumerate_level2(
     """All connected level-2 graphs on 5..max_rank vertices, sorted by key.
 
     Candidates come from the nomination families in declaration order; the
-    first family to produce a graph keeps the tag.  Every entry is verified
-    by direct level recognition, independent of how it was constructed.
-    jobs is validated but unused: the census runs in one process.
+    first family to produce a graph keeps the tag.  Every survivor is
+    verified to have level 2 from its own Gram matrix, independent of how it
+    was constructed.  jobs is validated but unused: the census runs in one
+    process.
     """
     if not 5 <= max_rank <= 11:
         raise ValueError(f"max_rank must lie in 5..11, got {max_rank}")
@@ -529,19 +618,21 @@ def enumerate_level2(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     level1 = enumerate_level1(min(10, max_rank - 1), labels, zero_tol)
     labs = _labels(labels)
-    seen: dict[bytes, Family] = {}
-    entries: list[CensusEntry] = []
-    for family in Family:
-        for g in _family_survivors(family, level1, labs, max_rank, zero_tol):
-            if level(g, zero_tol) != 2:
-                raise InconsistencyError(
-                    f"recognition accepted {to_compact(g)} but level != 2"
-                )
-            key = canonical_key(g)
-            if key in seen:
-                continue
-            seen[key] = family
-            entries.append(_make_entry(g, key, family, zero_tol))
+    survivors = [
+        (family, g)
+        for family in Family
+        for g in _family_survivors(family, level1, labs, max_rank, zero_tol)
+    ]
+    _check_level([g for _, g in survivors], 2, zero_tol, "recognition accepted {} but level != 2")
+    firsts: dict[bytes, tuple[Family, CoxeterGraph]] = {}
+    for family, g in survivors:
+        firsts.setdefault(canonical_key(g), (family, g))
+    graphs = [g for _, g in firsts.values()]
+    strict = _by_rank(graphs, lambda grams: minors_psd(grams, 2, zero_tol, finite=True))
+    entries = [
+        _make_entry(g, key, family, bool(s))
+        for (key, (family, g)), s in zip(firsts.items(), strict)
+    ]
     entries.sort(key=lambda e: e.key)
     return entries
 

@@ -107,7 +107,8 @@ def minors_psd(
     while done < len(keeps) and alive.size:
         block = keeps[done : done + max(1, _EIG_CHUNK // alive.size)]
         done += len(block)
-        minors = grams[
+        # with k == 0 the one block is the whole stack: decide it without a copy
+        minors = grams if k == 0 else grams[
             alive[:, None, None, None], block[None, :, :, None], block[None, :, None, :]
         ].reshape(-1, n - k, n - k)
         low = np.concatenate(

@@ -120,23 +120,31 @@ def weights_text(g, length: int) -> str:
 # -- balls, one cap at a time ---------------------------------------------
 
 
-def audit(spacelike, b, tol: float = 1e-9):
-    """validate_cluster's packing flag, minimum separation and pair counts.
+def separations(spacelike, b):
+    """Every pair i < j of the weights' balls and its separation, pairs in row order.
 
-    The separations are the same chunked products; each chunk's upper
-    triangle is reduced at once.
+    The separations are validate_cluster's chunked products; each chunk's
+    upper triangle is taken at once.
     """
     k = len(spacelike)
-    if k < 2:
-        return True, math.inf, 0, 0
-    unit = np.array([w.vector / math.sqrt(w.norm) for w in spacelike])
+    unit = np.array([w.vector / math.sqrt(w.norm) for w in spacelike]).reshape(k, -1)
     bu = unit @ b
     chunk = max(1, int(4e6) // k)
-    seps = []
+    rows, cols, seps = [], [], []
     for lo in range(0, k, chunk):
         block = -(bu[lo : lo + chunk] @ unit.T)
-        seps.append(block[np.triu_indices(len(block), lo + 1, k)])
-    seps = np.concatenate(seps)
+        i, j = np.triu_indices(len(block), lo + 1, k)
+        rows.append(lo + i)
+        cols.append(j)
+        seps.append(block[i, j])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(seps)
+
+
+def audit(spacelike, b, tol: float = 1e-9):
+    """validate_cluster's packing flag, minimum separation and pair counts."""
+    if len(spacelike) < 2:
+        return True, math.inf, 0, 0
+    _, _, seps = separations(spacelike, b)
     low = seps < 1.0 - tol
     n_violating = int(low.sum())
     n_deep = int((low & (seps < -tol)).sum())

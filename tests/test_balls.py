@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coxpack as cp
+import reference_docs as ref
 from coxpack.balls import (
     PairKind,
     project_packing,
@@ -198,6 +199,35 @@ def test_validate_cluster_packing(universal4):
     assert report.is_packing
     assert report.min_separation == pytest.approx(1.0, abs=1e-9)
     assert not report.violating_pairs and not report.deep_pairs
+
+
+def test_validate_cluster_pairs_match_reference(fig1b):
+    """Every overlapping and every deep pair, named by weight position.
+
+    fig1b's 3,566 space-like weights at length 7 span four separation chunks;
+    repeating every 700th weight adds deep pairs (separation -1).
+    """
+    ws = spacelike_weights(fig1b, 7)
+    ws += ws[::700]
+    tol = 1e-9
+    report = cp.validate_cluster(ws, fig1b.gram, tol)
+    i, j, seps = ref.separations(ws, fig1b.gram)
+    low = seps < 1.0 - tol
+    want = sorted(zip(i[low].tolist(), j[low].tolist(), seps[low].tolist()))
+    assert report.min_separation == float(seps.min())
+    assert report.violating_pairs == tuple(want)
+    assert report.deep_pairs == tuple(p for p in want if p[2] < -tol)
+    assert len(want) > 1_832 and len(report.deep_pairs) == 6
+    assert not report.is_packing
+
+
+def test_validate_cluster_last_chunk_holds_only_the_last_row(universal4):
+    """4,471 balls make five separation chunks of 894 rows and a sixth holding
+    only the last row, which has no pair of its own."""
+    ws = spacelike_weights(universal4, 8)[:4471]
+    report = cp.validate_cluster(ws, universal4.gram)
+    assert report.is_packing
+    assert report.min_separation == pytest.approx(1.0, abs=1e-9)
 
 
 def test_validate_cluster_degenerate(universal4):

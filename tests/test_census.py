@@ -1,6 +1,8 @@
 import math
 import random
+import re
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 
 import coxpack as cp
 from coxpack import census
+from coxpack.cli import main
+from coxpack.forms import minors_psd
 from coxpack.census import (
     ADMISSIBLE_LABELS,
     Family,
-    _batch_survivors,
     _catalog_level01,
+    _deletion_tables,
     _family_survivors,
     _filter_level2,
     _filter_level2_arrays,
@@ -27,6 +31,7 @@ from coxpack.census import (
     _labels,
     _leaves,
     _nomination_batches,
+    _rank_survivors,
     _specials,
     census_report,
     enumerate_level1,
@@ -217,63 +222,94 @@ def test_gram_stacks_match_nominate(level1_5, family):
         assert _family_survivors(family, level1_5, labs, 6, tol) == _filter_level2(graphs, tol)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def batches_of_rank(draw, n):
+    """A batch on n vertices: a few free pairs over a base with some fixed edges."""
+    pairs = list(combinations(range(n), 2))
+    free = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
+    free = tuple(p if draw(st.booleans()) else p[::-1] for p in free)
+    rest = [p for p in pairs if p not in free and p[::-1] not in free]
+    fixed = draw(st.lists(st.sampled_from(rest), max_size=n, unique=True))
+    marks = draw(st.lists(st.sampled_from(ADMISSIBLE_LABELS), min_size=len(fixed),
+                          max_size=len(fixed)))
+    return cp.CoxeterGraph(n, tuple((u, v, cp.EdgeLabel(m)) for (u, v), m in zip(fixed, marks))), free
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batch_survivors_match_reference_filter(data):
-    """Memoized two-deletion tables pick the members the per-candidate filter picks."""
+    """Batches of one rank decided together, in table blocks that cross batch
+    boundaries, keep the members the per-candidate filter keeps, at every tolerance."""
     n = data.draw(st.integers(5, 8), label="rank")
-    pairs = list(combinations(range(n), 2))
-    free = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
-    free = tuple(p if data.draw(st.booleans()) else p[::-1] for p in free)
-    rest = [p for p in pairs if p not in free and p[::-1] not in free]
-    fixed = data.draw(st.lists(st.sampled_from(rest), max_size=n, unique=True))
-    marks = data.draw(st.lists(st.sampled_from(ADMISSIBLE_LABELS), min_size=len(fixed),
-                               max_size=len(fixed)))
-    tol = data.draw(st.sampled_from(TOLS), label="tol")
-    base = cp.CoxeterGraph(n, tuple((u, v, cp.EdgeLabel(m)) for (u, v), m in zip(fixed, marks)))
+    batches = data.draw(st.lists(batches_of_rank(n), min_size=2, max_size=4), label="batches")
     labs = _labels(ADMISSIBLE_LABELS)
     values = np.array([lab.gram_entry() for lab in labs])
-    codes = _batch_survivors(base, free, values, tol)
-    rows = codes @ len(labs) ** np.arange(len(free))[::-1]
-    want = _filter_level2_arrays(_gram_stack([(base, free)], labs), tol)
-    assert rows.tolist() == want.tolist()
+    rows = sum(len(_deletion_tables(base, pairs, len(labs))[1]) for base, pairs in batches)
+    chunk = data.draw(st.integers(1, rows - 1), label="block rows")
+    grams = _gram_stack(batches, labs)
+    first = np.cumsum([0] + [len(labs) ** len(pairs) for _, pairs in batches])
+    for tol in TOLS:
+        with mock.patch.object(census, "_EIG_CHUNK", chunk):
+            got = _rank_survivors(batches, values, tol)
+        assert all(codes.dtype == np.int8 for codes in got)
+        members = [
+            lo + codes @ len(labs) ** np.arange(len(pairs))[::-1]
+            for lo, codes, (_, pairs) in zip(first, got, batches)
+        ]
+        want = _filter_level2_arrays(grams, tol)
+        assert np.concatenate(members).tolist() == want.tolist()
 
 
-def test_batch_stops_when_no_member_is_left(monkeypatch):
-    """A batch whose first two-vertex deletion fails for every labeling ends there."""
-    sizes = []
+def test_empty_batch_sends_no_rows_to_one_vertex_stage(monkeypatch):
+    """A batch whose members all fail a two-vertex deletion adds no rows to the
+    one-vertex stage, which decides the other batch's members left."""
+    sent = []
     kernel = census.minors_psd
 
     def counting(grams, k, zero_tol):
-        sizes.append(len(grams))
+        sent.append((k, len(grams)))
         return kernel(grams, k, zero_tol)
 
-    monkeypatch.setattr(census, "minors_psd", counting)
     # deleting vertices 0 and 1 leaves the hyperbolic triangle 2-3-4 (bonds 4)
     four = cp.EdgeLabel(4)
-    base = cp.CoxeterGraph(5, ((2, 3, four), (2, 4, four), (3, 4, four)))
-    values = np.array([lab.gram_entry() for lab in _labels(ADMISSIBLE_LABELS)])
-    assert _batch_survivors(base, ((0, 1), (0, 2)), values, 1e-3).shape == (0, 2)
-    assert sizes == [1]
+    empty = (cp.CoxeterGraph(5, ((2, 3, four), (2, 4, four), (3, 4, four))), ((0, 1), (0, 2)))
+    live = _joined(_specials()[0], 0, 1)
+    labs = _labels(ADMISSIBLE_LABELS)
+    values = np.array([lab.gram_entry() for lab in labs])
+    left = int(minors_psd(_gram_stack([live], labs), 2, 1e-3).sum())
+    assert left
+
+    monkeypatch.setattr(census, "minors_psd", counting)
+    for batches in ([empty], [empty, live], [live, empty]):
+        sent.clear()
+        got = _rank_survivors(batches, values, 1e-3)
+        assert [codes.shape for codes, b in zip(got, batches) if b is empty] == [(0, 2)]
+        ones = [size for k, size in sent if k == 1]
+        assert ones == [0 if batches == [empty] else left]
+        assert {k for k, _ in sent} == {0, 1}
 
 
 def test_census_kernel_work_bound(monkeypatch):
-    """Matrices sent to eigvalsh by enumerate_level2(max_rank=8).
+    """Matrices and calls sent to eigvalsh by enumerate_level2(max_rank=8).
 
-    One minor per candidate and deletion is 1,271,785; memoizing the
-    two-vertex deletions by sub-labeling leaves 94,235.
+    One minor per candidate and deletion is 1,271,785; the two-vertex
+    deletion tables leave 92,172.  Deciding each family's tables of one rank
+    in blocks, and verifying each rank's survivors on one stack, takes 109
+    calls (one minors_psd call per deletion and batch took 9,734).
     """
-    matrices = [0]
+    matrices, calls = [0], [0]
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a):
         low = eigvalsh(a)
         matrices[0] += math.prod(low.shape[:-1])
+        calls[0] += 1
         return low
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert len(enumerate_level2(max_rank=8)) == 304
     assert matrices[0] < 120_000
+    assert calls[0] < 400
 
 
 NOMINATED_AT_RANK11 = {
@@ -322,23 +358,41 @@ def test_census_builds_graphs_only_for_survivors(monkeypatch, level1_5):
     """Rejected candidates (51,160 nominated at max_rank 6) never become graphs."""
     n_batches = sum(1 for f in Family for _ in _nomination_batches(f, level1_5))
     counts = {"graphs": 0, "survivors": 0}
-    init, level = cp.CoxeterGraph.__post_init__, census.level
+    init, survivors = cp.CoxeterGraph.__post_init__, census._family_survivors
 
     def counting_init(self):
         counts["graphs"] += 1
         init(self)
 
-    def counting_level(g, zero_tol):
-        counts["survivors"] += 1
-        return level(g, zero_tol)
+    def counting_survivors(*args):
+        out = survivors(*args)
+        counts["survivors"] += len(out)
+        return out
 
     monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
-    monkeypatch.setattr(census, "level", counting_level)
+    monkeypatch.setattr(census, "_family_survivors", counting_survivors)
     monkeypatch.setattr(cp.CoxeterGraph, "__post_init__", counting_init)
     assert len(enumerate_level2(max_rank=6)) == 255
     # each batch builds its base and its validated first member, and each
     # special-graph family builds the three special graphs once
     assert counts["graphs"] <= 2 * n_batches + 3 * 3 + counts["survivors"]
+
+
+def test_census_rejects_a_survivor_of_level_1(monkeypatch, level1_5, tmp_path, capsys):
+    """A survivor that is not of level 2 stops the census, naming the graph."""
+    bad = next(g for g in level1_5 if g.rank == 5)
+    survivors = census._family_survivors
+
+    def injected(family, *args):
+        out = survivors(family, *args)
+        return out[:3] + [bad] + out[3:] if family is Family.TREE else out
+
+    monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
+    monkeypatch.setattr(census, "_family_survivors", injected)
+    with pytest.raises(cp.InconsistencyError, match=re.escape(cp.to_compact(bad))):
+        enumerate_level2(max_rank=6)
+    assert main(["enum", "--max-rank", "6", "--out", str(tmp_path / "census.csv")]) == 3
+    assert cp.to_compact(bad) in capsys.readouterr().err
 
 
 def test_filter_level2_agrees_with_direct_level(level1):
