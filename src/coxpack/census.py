@@ -602,20 +602,16 @@ def enumerate_level2(
     max_rank: int = 11,
     labels: Iterable[int] = ADMISSIBLE_LABELS,
     zero_tol: float = DEFAULT_ZERO_TOL,
-    jobs: int = 1,
 ) -> list[CensusEntry]:
     """All connected level-2 graphs on 5..max_rank vertices, sorted by key.
 
     Candidates come from the nomination families in declaration order; the
     first family to produce a graph keeps the tag.  Every survivor is
     verified to have level 2 from its own Gram matrix, independent of how it
-    was constructed.  jobs is validated but unused: the census runs in one
-    process.
+    was constructed.
     """
     if not 5 <= max_rank <= 11:
         raise ValueError(f"max_rank must lie in 5..11, got {max_rank}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     level1 = enumerate_level1(min(10, max_rank - 1), labels, zero_tol)
     labs = _labels(labels)
     survivors = [

@@ -21,8 +21,8 @@ from .forms import (
     signature,
 )
 from .graphs import GraphError, load_graph, to_compact
-from .groups import OrbitCapError
 from .orbits import (
+    OrbitCapError,
     VectorClass,
     _root_columns,
     _weight_columns,
@@ -386,9 +386,7 @@ def cmd_enum(args) -> int:
     if args.jobs < 1:
         raise _CliError(EXIT_PARSE, f"--jobs must be >= 1, got {args.jobs}")
     out_path = args.out or "census.csv"
-    entries = census_mod.enumerate_level2(
-        max_rank=args.max_rank, zero_tol=args.tol, jobs=args.jobs
-    )
+    entries = census_mod.enumerate_level2(max_rank=args.max_rank, zero_tol=args.tol)
     problems = []
     keys = [e.key for e in entries]
     if len(set(keys)) != len(keys):

@@ -1,8 +1,7 @@
-"""Tolerance-verified deduplication of float vectors.
+"""Tolerance-verified deduplication of float vectors, for the breadth-first test references.
 
-The group-element and chamber sweeps behind the tangency graph keep
-revisiting the same algebraic vectors through different floating-point
-histories.  Plain grid quantization can split one vector into two keys when
+Products reaching one algebraic vector by different routes differ in their
+last bits.  Plain grid quantization can split one vector into two keys when
 a coordinate lands near a grid boundary, so the store buckets rows on a
 coarse grid, probes every cell a match could occupy, and confirms candidates
 with an exact infinity-norm comparison.  Matching is therefore independent
@@ -36,13 +35,6 @@ class VectorStore:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Read-only view of all stored vectors in insertion order."""
-        view = self._data[: self._count]
-        view.setflags(write=False)
-        return view
 
     def _probe_keys(self, v: np.ndarray):
         lo = np.floor((v + _OFFSET - self.tol) / _GRID).astype(np.int64)

@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dedup import VectorStore
-
-
-class OrbitCapError(RuntimeError):
-    """A generation cap was exceeded; results would be incomplete."""
-
-    def __init__(self, what: str, cap: int):
-        super().__init__(f"{what} exceeded the record cap of {cap}")
-        self.cap = cap
+from .orbits import OrbitCapError
 
 
 def simple_reflections(b: np.ndarray) -> np.ndarray:

@@ -17,13 +17,20 @@ from .forms import (
     fundamental_weights,
 )
 from .graphs import CoxeterGraph
-from .groups import OrbitCapError
 
 _ISO_TOL = 1e-12
 # Relative zero test for B(v, alpha_j) (see _zero_tol) and for heights (see
 # projective_coords).  Over 46 systems of rank 3-11, true zeros measured below
 # 3e-16 of the scale and nonzero values above 1.8e-4 of it.
 _ZERO_RTOL = 1e-10
+
+
+class OrbitCapError(RuntimeError):
+    """A generation cap was exceeded; results would be incomplete."""
+
+    def __init__(self, what: str, cap: int):
+        super().__init__(f"{what} exceeded the record cap of {cap}")
+        self.cap = cap
 
 
 class VectorClass(Enum):

@@ -5,7 +5,7 @@ of the fundamental weights, colored by s.  Tangency edges come in two kinds:
 pairs inside a common chamber whose normalized product is -1, and same-color
 pairs across a shared panel whose color has norm 1.  `tangency_graph` reads
 both off orbits of dominant weights without enumerating chambers;
-`chambers_up_to_length` builds the explicit complex.
+`chambers_up_to_length` builds the explicit complex from the orbit of rho.
 """
 
 from __future__ import annotations
@@ -122,60 +122,73 @@ def classify_vertex(omega: WeightRecord, b: np.ndarray) -> VertexClass:
     return classify_weight_norm(norm)
 
 
+def _vertex_keys(b: np.ndarray, colors: np.ndarray, vectors: np.ndarray, steps: int) -> list:
+    """Bytes of each weight row's color and canonical descent word, cut at `steps` letters.
+
+    Weights of one color are equal exactly when their keys are, if no word is cut.
+    """
+    keys = np.column_stack([colors, _descent_words(b, vectors, steps)])
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+
+
 def chambers_up_to_length(
     g: CoxeterGraph,
     max_length: int,
     max_records: int | None = None,
     require_lorentzian: bool = True,
 ) -> CoxeterComplex:
-    """One chamber per group element of length <= max_length.
+    """One chamber per group element of length <= max_length, in order of length.
 
-    Vertex ids are assigned by deduplicating weight vectors across chambers,
-    so stabilizer repeats collapse to a single vertex of a single color.
+    rho = sum of omega_s lies in the open fundamental chamber, on which W
+    acts simply transitively, so the orbit walk of rho meets each element w
+    once, carrying the vertices w(omega_s); their matrix transposed times B
+    is w.  A chamber's word is the canonical descent word of w rho, whose
+    reflections multiply out to w in order.  Vertex ids follow first
+    appearance.  adjacency[w][i] is the chamber of w s_i, if within max_length.
     """
-    from .dedup import VectorStore
     from .forms import TypeClass, classify_gram
-    from .groups import GroupBFS
 
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
     b = g.gram
     if require_lorentzian and classify_gram(b, DEFAULT_ZERO_TOL) is not TypeClass.LORENTZIAN:
         raise LevelError("the chamber complex is built for Lorentzian systems")
     n = g.rank
     fund, fund_norms = fundamental_weights(b)
 
-    bfs = GroupBFS(b, max_length, max_records=max_records)
-    store = VectorStore(n)
-    vertices: list[ComplexVertex] = []
-    chambers: list[Chamber] = []
-    for eid in range(len(bfs)):
-        mat = bfs.matrices[eid]
-        moved = mat @ fund
-        ids = []
-        for s in range(n):
-            vec = moved[:, s]
-            vid, is_new = store.add(vec)
-            if is_new:
-                vec = np.array(vec)
-                vec.setflags(write=False)
-                vertices.append(
-                    ComplexVertex(
-                        vid,
-                        s,
-                        vec,
-                        bfs.lengths[eid],
-                        float(fund_norms[s]),
-                        classify_weight_norm(float(fund_norms[s])),
-                    )
-                )
-            elif vertices[vid].color != s:
-                raise InconsistencyError("chamber vertex acquired two colors")
-            ids.append(vid)
-        mat = np.array(mat)
-        mat.setflags(write=False)
-        chambers.append(Chamber(mat, bfs.words[eid], tuple(ids)))
-    return CoxeterComplex(
-        g, max_length, tuple(chambers), tuple(vertices), tuple(bfs.adjacency)
+    walk = _orbit_layers(b, fund.sum(axis=0)[None], +1, fund[None], np.zeros((1, n), int))
+    layers = list(_capped(walk, max_length + 1, max_records, "group element generation"))
+    points, colors, ends, lengths = (np.concatenate(column) for column in zip(*layers))
+    elements = ends.transpose(0, 2, 1) @ b
+    ends, lengths, steps = ends.reshape(-1, n), lengths.ravel(), max_length + 1
+
+    index: dict[bytes, int] = {}
+    keys = _vertex_keys(b, np.tile(np.arange(n), len(points)), ends, steps)
+    ids = np.array([index.setdefault(key, len(index)) for key in keys]).reshape(-1, n)
+    first = np.unique(ids, return_index=True)[1]
+    rows = zip((first % n).tolist(), _frozen(ends[first]), lengths[first].tolist())
+    vertices = tuple(
+        ComplexVertex(i, c, vec, ell, float(fund_norms[c]), classify_weight_norm(fund_norms[c]))
+        for i, (c, vec, ell) in enumerate(rows)
     )
+
+    # the walk points are one weight orbit, of color 0, keyed like vertices
+    chamber_of = {key: i for i, key in enumerate(_vertex_keys(b, colors, points, steps))}
+    # w(alpha_i) is a root, negative (all coordinates <= 0) exactly when w s_i
+    # is shorter than w; w s_i rho = w rho - 2 w(alpha_i)
+    upper, gens = np.nonzero(elements.sum(axis=1) < 0)
+    lower = _vertex_keys(b, colors[upper], points[upper] - 2.0 * elements[upper, :, gens], steps)
+    adjacency: list[dict[int, int]] = [{} for _ in points]
+    for w, i, key in zip(upper.tolist(), gens.tolist(), lower):
+        adjacency[w][i] = chamber_of[key]
+        adjacency[chamber_of[key]][i] = w
+    words = _descent_words(b, points, steps)
+    sizes = (words >= 0).sum(axis=1).tolist()
+    chambers = tuple(
+        Chamber(element, tuple(word[:k]), tuple(row))
+        for element, word, k, row in zip(_frozen(elements), words.tolist(), sizes, ids.tolist())
+    )
+    return CoxeterComplex(g, max_length, chambers, vertices, tuple(adjacency))
 
 
 def tangency_graph(
@@ -254,13 +267,10 @@ def tangency_graph(
     kinds, ends, lengths = map(np.concatenate, (kinds, ends, lengths))
 
     # an endpoint is the vertex with its color and canonical descent word
-    vkeys = np.column_stack([vcolors, _descent_words(b, vectors, max_length + 1)])
-    ekeys = np.column_stack([
-        np.array(end_colors, dtype=int).reshape(-1, 2)[kinds].ravel(),
-        _descent_words(b, ends.reshape(-1, n), max_length + 1),
-    ])
-    index = {key.tobytes(): i for i, key in enumerate(vkeys)}
-    ids = np.array([index.get(key.tobytes(), -1) for key in ekeys], dtype=int).reshape(-1, 2)
+    ecolors = np.array(end_colors, dtype=int).reshape(-1, 2)[kinds].ravel()
+    ekeys = _vertex_keys(b, ecolors, ends.reshape(-1, n), max_length + 1)
+    index = {key: i for i, key in enumerate(_vertex_keys(b, vcolors, vectors, max_length + 1))}
+    ids = np.array([index.get(key, -1) for key in ekeys], dtype=int).reshape(-1, 2)
     if (ids < 0).any() or (vlengths[ids] != lengths).any():
         raise InconsistencyError("a tangency edge endpoint is not a vertex of its length")
 

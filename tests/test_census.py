@@ -172,7 +172,7 @@ def test_enumerate_level1_validation():
         enumerate_level1(10, labels=(3, 4, 5, 6, 7))
 
 
-@pytest.mark.parametrize("kwargs", [{"max_rank": 4}, {"max_rank": 12}, {"jobs": 0}])
+@pytest.mark.parametrize("kwargs", [{"max_rank": 4}, {"max_rank": 12}])
 def test_enumerate_level2_validation(kwargs):
     with pytest.raises(ValueError):
         enumerate_level2(**kwargs)

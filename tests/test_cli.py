@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +229,23 @@ def test_weights_singular_exits_2(graph_file, capsys):
 def test_pack_non_lorentzian_exits_2(graph_file, capsys):
     code, _, _ = run(capsys, ["pack", graph_file(cp.path_graph([3, 3, 3])), "--length", "2"])
     assert code == 2
+
+
+def test_cli_leaves_group_search_unimported():
+    """The command line runs on the orbit walk; the BFS and its vector store stay unloaded."""
+    src = str(Path(cp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, coxpack.cli; "
+        "print(sorted(m for m in sys.modules if m in ('coxpack.groups', 'coxpack.dedup')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+    from coxpack import groups
+
+    assert groups.OrbitCapError is cp.OrbitCapError
 
 
 def test_enum_jobs_flag(tmp_path, capsys):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import coxpack as cp
 from coxpack.forms import NotLorentzianError
-from coxpack.groups import OrbitCapError, simple_reflections
+from coxpack.groups import simple_reflections
 from coxpack.orbits import (
+    OrbitCapError,
     RootSource,
     VectorClass,
     WeightSource,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import coxpack as cp
-from coxpack.groups import OrbitCapError
-from coxpack.orbits import VectorClass, WeightRecord
+from coxpack.orbits import OrbitCapError, VectorClass, WeightRecord
 from coxpack.tangency import (
     LevelError,
     VertexClass,
