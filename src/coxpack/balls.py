@@ -18,6 +18,7 @@ from .forms import DEFAULT_ZERO_TOL, NotLorentzianError, signature
 from .orbits import (
     _ISO_TOL,
     ProjectivePoint,
+    _frozen,
     _unit_rows,
     bilinear,
     normalize_spacelike,
@@ -26,6 +27,7 @@ from .orbits import (
 
 _ALGEBRAIC_TOL = 1e-9
 _ANGULAR_TOL = 1e-6
+_NUDGE_RETRIES = 3  # frame rotations tried before projecting anyway
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def cap_of(x, frame: LorentzFrame, b: np.ndarray) -> SphericalCap:
     arccos(-t/|v|) around -v/|v|.
     """
     centers, radii = _cap_rows(np.asarray(x, dtype=float)[None, :], frame, b)
-    return SphericalCap(_readonly(centers[0]), float(radii[0]))
+    return SphericalCap(_frozen(centers[0]), float(radii[0]))
 
 
 def _cap_rows(vectors: np.ndarray, frame: LorentzFrame, b: np.ndarray):
@@ -259,7 +261,7 @@ def _pole_gaps(c_s: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 def _balls_of_rows(kappa: np.ndarray, kc: np.ndarray, offsets: list) -> list[EuclideanBall]:
     """EuclideanBall of each row of _stereographic_rows."""
-    return [EuclideanBall(k, _readonly(c), o) for k, c, o in zip(kappa.tolist(), kc, offsets)]
+    return [EuclideanBall(k, _frozen(c), o) for k, c, o in zip(kappa.tolist(), kc, offsets)]
 
 
 def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> ClusterReport:
@@ -337,12 +339,12 @@ def residual_margins(points, weights, b: np.ndarray) -> np.ndarray:
 
 
 def project_packing(
-    caps: list[SphericalCap], retries: int = 3
+    caps: list[SphericalCap],
 ) -> tuple[list[EuclideanBall], list[SphericalCap], np.ndarray]:
     """Project caps from the last sphere axis, nudging the frame off boundaries.
 
     When some cap boundary passes within the angular guard of the pole, a
-    fixed small rotation of the sphere is applied (up to `retries` times) so
+    fixed small rotation of the sphere is applied (up to _NUDGE_RETRIES times) so
     every ball stays finite.  Returns the balls, the caps actually projected
     (rotated when a nudge occurred), and the applied rotation.
     """
@@ -350,13 +352,13 @@ def project_packing(
         return [], [], np.eye(0)
     centers = np.array([c.center for c in caps])
     radii = np.array([c.angular_radius for c in caps])
-    rows, used, rot = _project_rows(centers, radii, retries)
+    rows, used, rot = _project_rows(centers, radii)
     if used is not centers:
-        caps = [SphericalCap(_readonly(c), r) for c, r in zip(used, radii.tolist())]
+        caps = [SphericalCap(_frozen(c), r) for c, r in zip(used, radii.tolist())]
     return _balls_of_rows(*rows), list(caps), rot
 
 
-def _project_rows(centers: np.ndarray, radii: np.ndarray, retries: int = 3):
+def _project_rows(centers: np.ndarray, radii: np.ndarray):
     """project_packing on cap rows: _stereographic_rows' arrays, the centers used, the rotation.
 
     The centers used are `centers` itself unless the frame was nudged.
@@ -373,9 +375,9 @@ def _project_rows(centers: np.ndarray, radii: np.ndarray, retries: int = 3):
         step[0, pole] = -math.sin(a)
         step[pole, 0] = math.sin(a)
     current = centers
-    for attempt in range(retries + 1):
+    for attempt in range(_NUDGE_RETRIES + 1):
         risky = (_pole_gaps(current[:, pole], radii) < _ANGULAR_TOL).any()
-        if not risky or attempt == retries or d < 2:
+        if not risky or attempt == _NUDGE_RETRIES or d < 2:
             return _stereographic_rows(current, radii, pole), current, rot
         rot = step @ rot
         current = (rot @ centers[:, :, None])[:, :, 0]  # row by row, as in _cap_rows
@@ -417,9 +419,3 @@ def _packing_rows(
     centers, radii = _cap_rows(vectors, frame, b)
     (kappa, kc, offsets), centers, rot = _project_rows(centers, radii)
     return _PackingRows(report, centers, radii, kappa, kc, offsets, rot)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a

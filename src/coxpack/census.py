@@ -181,14 +181,11 @@ def _path_order(g: CoxeterGraph) -> list[int]:
 def _levels01(batches: list[Batch], labs: list[EdgeLabel], zero_tol: float):
     """The members of level 0 or 1 of same-rank batches, with their levels, in order.
 
-    Both levels are decided on one Gram stack, so a graph is built only for a
-    member of level <= 1.
+    Both levels are decided on one _gram_stack, so apart from the first member
+    of each batch, which the stack builds as a check, a graph is built only for
+    a member of level <= 1.
     """
-    values = np.array([lab.gram_entry() for lab in labs])
-    grams = np.concatenate([
-        _member_grams(base.gram, pairs, _label_codes(len(pairs), len(labs)), values)
-        for base, pairs in batches
-    ])
+    grams = _gram_stack(batches, labs)
     levels = np.where(minors_psd(grams, 0, zero_tol), 0, 2)
     rest = np.flatnonzero(levels)
     levels[rest[minors_psd(grams[rest], 1, zero_tol)]] = 1
@@ -393,8 +390,9 @@ def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
     Bitwise equal to the members' CoxeterGraph.gram.  Each batch's first
     member is built as a graph, so a malformed free pair (out of range, a
     self-loop, or a duplicate of a pair or of a base edge) raises GraphError.
-    The census does not build these stacks; tests filter them with
-    _filter_level2_arrays as the reference for _rank_survivors.
+    The level-1 catalog decides its levels on these stacks; tests filter the
+    nomination stacks with _filter_level2_arrays as the reference for
+    _rank_survivors.
     """
     values = np.array([lab.gram_entry() for lab in labs])
     for base, pairs in batches:

@@ -30,7 +30,7 @@ from .orbits import (
     projective_coords,
     quadratic_form,
 )
-from .render import RenderSpec, svg_packing
+from .render import svg_packing
 from .tangency import (
     InconsistencyError,
     LevelError,
@@ -283,6 +283,12 @@ def cmd_weights(args) -> int:
 def cmd_pack(args) -> int:
     if args.length < 0:
         raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
+    if not (math.isfinite(args.min_radius) and args.min_radius >= 0):
+        raise _CliError(
+            EXIT_PARSE, f"--min-radius must be finite and >= 0, got {args.min_radius}"
+        )
+    if args.canvas < 1:
+        raise _CliError(EXIT_PARSE, f"--canvas must be >= 1, got {args.canvas}")
     g = _read_graph(args.graph)
     if args.format == "svg" and g.rank != 4:
         raise _CliError(EXIT_SVG_RANK, f"svg output requires rank 4 (disks), got rank {g.rank}")
@@ -309,14 +315,8 @@ def cmd_pack(args) -> int:
     )
 
     if args.format == "svg":
-        spec = RenderSpec(
-            orbit_length=args.length,
-            min_radius=args.min_radius,
-            canvas_width=args.canvas,
-            canvas_height=args.canvas,
-        )
-        triples = list(zip(packing.balls(), colors.tolist(), lengths.tolist()))
-        _emit(svg_packing(triples, spec, summary), args.out)
+        pairs = list(zip(packing.balls(), colors.tolist()))
+        _emit(svg_packing(pairs, args.min_radius, args.canvas, summary), args.out)
         return 0
 
     head = {

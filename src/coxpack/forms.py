@@ -14,6 +14,7 @@ from .graphs import CoxeterGraph
 DEFAULT_ZERO_TOL = 1e-3
 _SYMMETRY_TOL = 1e-12
 _EIG_CHUNK = 8192  # matrices per eigvalsh call
+_SINGULAR_RTOL = 1e-9  # a form with |det| below this times max(max|B|, 1)^n is singular
 
 
 class FormError(ValueError):
@@ -144,7 +145,7 @@ def level(g: CoxeterGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
     raise AssertionError("unreachable: single vertices are positive definite")
 
 
-def fundamental_weights(b, singular_rtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def fundamental_weights(b) -> tuple[np.ndarray, np.ndarray]:
     """Dual-basis vectors of a non-singular form, in simple-root coordinates.
 
     Returns (weights, norms) where weights[s] solves B(alpha_s, w) = delta_st:
@@ -155,7 +156,7 @@ def fundamental_weights(b, singular_rtol: float = 1e-9) -> tuple[np.ndarray, np.
     n = b.shape[0]
     det = float(np.linalg.det(b))
     scale = float(np.abs(b).max()) if b.size else 1.0
-    if abs(det) < singular_rtol * max(scale, 1.0) ** n:
+    if abs(det) < _SINGULAR_RTOL * max(scale, 1.0) ** n:
         raise SingularFormError(f"form is singular (|det| = {abs(det):.3e}); weights undefined")
     w = np.linalg.inv(b)
     w = (w + w.T) / 2.0

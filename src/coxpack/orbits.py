@@ -121,7 +121,8 @@ def reflect(x, alpha, b: np.ndarray) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    """a as a read-only float array; a float array is marked in place, not copied."""
+    a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -158,8 +159,9 @@ def _orbit_layers(
     along with it, and their weight lengths `lengths` of shape (m, k).  A
     step s_i adds 1 to an endpoint's length when sign * B(endpoint,
     alpha_i) > 0 and leaves it otherwise; no point with an endpoint longer
-    than max_length is yielded or expanded.  Without max_length the
-    generator is endless unless an orbit is finite; the caller stops it.
+    than max_length is yielded or expanded.  The first layer is yielded
+    even when empty, and the generator stops right after an empty layer;
+    otherwise it is endless, and the caller stops it.
     """
     layer = np.array(start, dtype=float)
     colors = np.arange(len(layer))
@@ -170,9 +172,9 @@ def _orbit_layers(
         if max_length is not None:
             ok = (lengths <= max_length).all(axis=1)
             layer, colors, ends, lengths = layer[ok], colors[ok], ends[ok], lengths[ok]
+        yield layer, colors, ends, lengths
         if not len(layer):
             return
-        yield layer, colors, ends, lengths
         u = sign * (layer @ b)
         rows, cols = np.nonzero(u > _zero_tol(layer, b)[:, None])
         k = np.arange(len(rows))
@@ -190,16 +192,24 @@ def _orbit_layers(
             ends[m, np.arange(ends.shape[1]), cols[:, None]] -= (2.0 * sign) * ue
 
 
-def _capped(layers, count: int | None, max_records: int | None, what: str, total: int = 0):
-    """The first `count` layers (all of them for None).
+def _walk(
+    b, start, sign, count, max_records, what, ends=None, lengths=None, max_length=None, total=0
+):
+    """The first `count` layers of _orbit_layers (all of them for None), stacked.
 
-    OrbitCapError once `total` plus their records exceed max_records.
+    Returns the vectors, colors, ends, lengths and each row's layer index.
+    The walk yields at least one layer, so with count >= 1 the columns keep
+    their shapes when empty.  OrbitCapError once `total` plus the rows
+    exceed max_records.
     """
-    for layer, *rest in islice(layers, count):
+    columns = []
+    layers = _orbit_layers(b, start, sign, ends, lengths, max_length)
+    for k, (layer, *rest) in enumerate(islice(layers, count)):
         total += len(layer)
         if max_records is not None and total > max_records:
             raise OrbitCapError(what, max_records)
-        yield layer, *rest
+        columns.append((layer, *rest, np.full(len(layer), k)))
+    return tuple(np.concatenate(column) for column in zip(*columns))
 
 
 def _descent_words(b: np.ndarray, vectors: np.ndarray, steps: int) -> np.ndarray:
@@ -240,13 +250,8 @@ def _root_columns(
     """roots_up_to_depth as arrays: the roots as rows, their depths and their heights."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    vectors, depths, heights = [], [], []
-    layers = _orbit_layers(g.gram, np.eye(g.rank), -1)
-    for d, (layer, *_) in enumerate(_capped(layers, depth, max_records, "root generation"), 1):
-        vectors.append(layer)
-        depths.append(np.full(len(layer), d))
-        heights.append(layer.sum(axis=1))
-    return np.concatenate(vectors), np.concatenate(depths), np.concatenate(heights)
+    vectors, *_, layer = _walk(g.gram, np.eye(g.rank), -1, depth, max_records, "root generation")
+    return vectors, layer + 1, vectors.sum(axis=1)
 
 
 def roots_up_to_depth(
@@ -286,21 +291,13 @@ def _weight_columns(
         raise ValueError(f"length must be >= 0, got {length}")
     b = g.gram
     fund, fund_norms = fundamental_weights(b)
-    vectors, lengths, colors, norms = [], [], [], []
-    layers = _orbit_layers(b, fund, +1)
-    for ell, (layer, layer_colors, *_) in enumerate(
-        _capped(layers, length + 1, max_records, "weight generation")
-    ):
-        vectors.append(layer)
-        lengths.append(np.full(len(layer), ell))
-        colors.append(layer_colors)
-        norms.append(quadratic_form(b, layer))
-    colors, norms = np.concatenate(colors), np.concatenate(norms)
+    vectors, colors, *_, lengths = _walk(b, fund, +1, length + 1, max_records, "weight generation")
+    norms = quadratic_form(b, vectors)
     classes = np.array(
         [classify_norm(n, r) for n, r in zip(norms.tolist(), fund_norms[colors].tolist())],
         dtype=object,
     )
-    return np.concatenate(vectors), np.concatenate(lengths), colors, norms, classes
+    return vectors, lengths, colors, norms, classes
 
 
 def weights_up_to_length(
@@ -375,20 +372,18 @@ def limit_sample(
     if isinstance(source, RootSource):
         if source.depth < 1:
             raise ValueError(f"depth must be >= 1, got {source.depth}")
-        layers = _orbit_layers(b, np.eye(g.rank), -1)
+        start, sign = np.eye(g.rank), -1
         count, what = source.depth, "root generation"
     elif isinstance(source, WeightSource):
         if source.length < 0:
             raise ValueError(f"length must be >= 0, got {source.length}")
-        layers = _orbit_layers(b, fundamental_weights(b)[0], +1)
+        start, sign = fundamental_weights(b)[0], +1
         count, what = source.length + 1, "weight generation"
     else:
         raise TypeError(f"source must be RootSource or WeightSource, got {source!r}")
 
-    shell = np.empty((0, g.rank))
-    for k, (layer, *_) in enumerate(_capped(layers, count, max_records, what), 1):
-        if k == count:
-            shell = layer
+    vectors, *_, layer = _walk(b, start, sign, count, max_records, what)
+    shell = vectors[layer == count - 1]
     coords, finite = projective_coords(shell)
     coords = _frozen(coords[finite])
     residual = float(np.abs(quadratic_form(b, coords)).max(initial=0.0))

@@ -2,31 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .balls import EuclideanBall
 
 _PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#393b79", "#637939",
 ]
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    orbit_length: int
-    min_radius: float = 0.75  # pixels; smaller disks are dropped
-    canvas_width: int = 800
-    canvas_height: int = 800
-    stroke: str = "#222222"
-    stroke_width: float = 0.5
-    fill_opacity: float = 0.85
-
-    def __post_init__(self):
-        if self.orbit_length < 0:
-            raise ValueError("orbit_length must be >= 0")
-        if self.min_radius < 0:
-            raise ValueError("min_radius must be >= 0")
+_STROKE = "#222222"
+_STROKE_WIDTH = 0.5
+_FILL_OPACITY = 0.85
 
 
 def color_of(index: int) -> str:
@@ -34,20 +18,22 @@ def color_of(index: int) -> str:
 
 
 def svg_packing(
-    balls: list[tuple[EuclideanBall, int, int]],
-    spec: RenderSpec,
-    header_comment: str = "",
+    balls: list[tuple[EuclideanBall, int]],
+    min_radius: float,
+    canvas: int,
+    header_comment: str,
 ) -> str:
-    """Render (ball, color, word_length) triples of a planar packing to SVG text.
+    """Render (ball, color) pairs of a planar packing to a square SVG of `canvas` px.
 
-    Positive-curvature disks are filled by color; negative-curvature balls are
-    drawn as boundary circles; half-space boundaries become full-width lines.
+    Positive-curvature disks are filled by color, and those with a radius
+    below min_radius px are dropped; negative-curvature balls are drawn as
+    boundary circles; half-space boundaries become full-width lines.
     Output bytes depend only on the inputs.
     """
     disks = []
     outlines = []
     lines = []
-    for ball, color, _ in balls:
+    for ball, color in balls:
         if ball.is_halfspace:
             lines.append((ball, color))
         elif ball.curvature > 0:
@@ -68,22 +54,20 @@ def svg_packing(
     xs_hi += pad
     ys_lo -= pad
     ys_hi += pad
-    scale = min(
-        spec.canvas_width / (xs_hi - xs_lo), spec.canvas_height / (ys_hi - ys_lo)
-    )
+    scale = canvas / max(xs_hi - xs_lo, ys_hi - ys_lo)
 
     def px(x: float) -> float:
         return (x - xs_lo) * scale
 
     def py(y: float) -> float:
-        return spec.canvas_height - (y - ys_lo) * scale
+        return canvas - (y - ys_lo) * scale
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f"<!-- {header_comment} -->" if header_comment else "<!-- packing -->",
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.canvas_width}" '
-        f'height="{spec.canvas_height}" viewBox="0 0 {spec.canvas_width} {spec.canvas_height}">',
-        f'<rect width="{spec.canvas_width}" height="{spec.canvas_height}" fill="#ffffff"/>',
+        f"<!-- {header_comment} -->",
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas}" '
+        f'height="{canvas}" viewBox="0 0 {canvas} {canvas}">',
+        f'<rect width="{canvas}" height="{canvas}" fill="#ffffff"/>',
     ]
 
     for center, radius, color in sorted(
@@ -92,18 +76,18 @@ def svg_packing(
         out.append(
             f'<circle cx="{px(center[0]):.4f}" cy="{py(center[1]):.4f}" '
             f'r="{radius * scale:.4f}" fill="none" stroke="{color_of(color)}" '
-            f'stroke-width="{spec.stroke_width:.4f}"/>'
+            f'stroke-width="{_STROKE_WIDTH:.4f}"/>'
         )
     for center, radius, color in sorted(
         disks, key=lambda d: (-d[1], d[0][0], d[0][1], d[2])
     ):
         r_px = radius * scale
-        if r_px < spec.min_radius:
+        if r_px < min_radius:
             continue
         out.append(
             f'<circle cx="{px(center[0]):.4f}" cy="{py(center[1]):.4f}" '
-            f'r="{r_px:.4f}" fill="{color_of(color)}" fill-opacity="{spec.fill_opacity:.2f}" '
-            f'stroke="{spec.stroke}" stroke-width="{spec.stroke_width:.4f}"/>'
+            f'r="{r_px:.4f}" fill="{color_of(color)}" fill-opacity="{_FILL_OPACITY:.2f}" '
+            f'stroke="{_STROKE}" stroke-width="{_STROKE_WIDTH:.4f}"/>'
         )
     for ball, color in lines:
         # boundary {<y, n> = offset}: a segment spanning the canvas
@@ -114,7 +98,7 @@ def svg_packing(
         out.append(
             f'<line x1="{px(p0[0]):.4f}" y1="{py(p0[1]):.4f}" '
             f'x2="{px(p1[0]):.4f}" y2="{py(p1[1]):.4f}" '
-            f'stroke="{color_of(color)}" stroke-width="{spec.stroke_width:.4f}"/>'
+            f'stroke="{color_of(color)}" stroke-width="{_STROKE_WIDTH:.4f}"/>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

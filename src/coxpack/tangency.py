@@ -21,10 +21,9 @@ from .graphs import CoxeterGraph
 from .orbits import (
     VectorClass,
     WeightRecord,
-    _capped,
     _descent_words,
     _frozen,
-    _orbit_layers,
+    _walk,
     bilinear,
     classify_norm,
     spacelike_unit_rows,
@@ -156,9 +155,10 @@ def chambers_up_to_length(
     n = g.rank
     fund, fund_norms = fundamental_weights(b)
 
-    walk = _orbit_layers(b, fund.sum(axis=0)[None], +1, fund[None], np.zeros((1, n), int))
-    layers = list(_capped(walk, max_length + 1, max_records, "group element generation"))
-    points, colors, ends, lengths = (np.concatenate(column) for column in zip(*layers))
+    points, colors, ends, lengths, _ = _walk(
+        b, fund.sum(axis=0)[None], +1, max_length + 1, max_records,
+        "group element generation", fund[None], np.zeros((1, n), int),
+    )
     elements = ends.transpose(0, 2, 1) @ b
     ends, lengths, steps = ends.reshape(-1, n), lengths.ravel(), max_length + 1
 
@@ -229,16 +229,11 @@ def tangency_graph(
     roles = [classify_weight_norm(float(x), level2=True) for x in norms]
     colors = np.array([s for s in range(n) if roles[s] is not VertexClass.IMAGINARY], dtype=int)
 
-    vectors, vcolors, vlengths = [np.empty((0, n))], [colors[:0]], [colors[:0]]
-    layers = _orbit_layers(b, fund[colors], +1)
-    for ell, (layer, c, *_) in enumerate(
-        _capped(layers, max_length + 1, max_records, "tangency vertex generation")
-    ):
-        order = np.argsort(c, kind="stable")
-        vectors.append(layer[order])
-        vcolors.append(colors[c[order]])
-        vlengths.append(np.full(len(layer), ell))
-    vectors, vcolors, vlengths = map(np.concatenate, (vectors, vcolors, vlengths))
+    vectors, c, _, _, vlengths = _walk(
+        b, fund[colors], +1, max_length + 1, max_records, "tangency vertex generation"
+    )
+    order = np.lexsort((c, vlengths))
+    vectors, vcolors, vlengths = vectors[order], colors[c[order]], vlengths[order]
 
     # one dominant edge point per kind: its endpoints, their lengths and colors
     starts, start_lengths, end_colors, tags = [], [], [], []
@@ -256,15 +251,10 @@ def tangency_graph(
             tags.append("surreal")
     starts = np.array(starts, dtype=float).reshape(-1, 2, n)
     start_lengths = np.array(start_lengths, dtype=int).reshape(-1, 2)
-    kinds, ends, lengths = [colors[:0]], [starts[:0]], [start_lengths[:0]]
-    walk = _orbit_layers(b, starts.sum(axis=1), +1, starts, start_lengths, max_length)
-    for _, k, e, ell in _capped(
-        walk, None, max_records, "tangency edge generation", total=len(vectors)
-    ):
-        kinds.append(k)
-        ends.append(e)
-        lengths.append(ell)
-    kinds, ends, lengths = map(np.concatenate, (kinds, ends, lengths))
+    _, kinds, ends, lengths, _ = _walk(
+        b, starts.sum(axis=1), +1, None, max_records, "tangency edge generation",
+        starts, start_lengths, max_length, total=len(vectors),
+    )
 
     # an endpoint is the vertex with its color and canonical descent word
     ecolors = np.array(end_colors, dtype=int).reshape(-1, 2)[kinds].ravel()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -24,20 +25,19 @@ from coxpack.orbits import (
     RootRecord,
     VectorClass,
     WeightRecord,
-    _capped,
     _orbit_layers,
     classify_norm,
     normalize_spacelike,
     projective_coords,
     quadratic_form,
 )
-from coxpack.render import RenderSpec, svg_packing
+from coxpack.render import svg_packing
 
 
 def roots(g, depth: int) -> list[RootRecord]:
     records = []
     layers = _orbit_layers(g.gram, np.eye(g.rank), -1)
-    for d, (layer, *_) in enumerate(_capped(layers, depth, None, "root generation"), 1):
+    for d, (layer, *_) in enumerate(islice(layers, depth), 1):
         heights = layer.sum(axis=1).tolist()
         records += [RootRecord(v, d, h) for v, h in zip(layer, heights)]
     return records
@@ -48,9 +48,7 @@ def weights(g, length: int) -> list[WeightRecord]:
     fund, fund_norms = fundamental_weights(b)
     records = []
     layers = _orbit_layers(b, fund, +1)
-    for ell, (layer, colors, *_) in enumerate(
-        _capped(layers, length + 1, None, "weight generation")
-    ):
+    for ell, (layer, colors, *_) in enumerate(islice(layers, length + 1)):
         norms = quadratic_form(b, layer).tolist()
         records += [
             WeightRecord(v, ell, norm, classify_norm(norm, fund_norms[s]), s)
@@ -220,9 +218,8 @@ def pack_text(g, length: int, fmt: str = "json", tol: float = 1e-3) -> str:
         f"orbit_length={length}"
     )
     if fmt == "svg":
-        spec = RenderSpec(length, min_radius=0.75, canvas_width=800, canvas_height=800)
-        triples = [(ball, w.color, w.word_length) for ball, w in zip(balls, spacelike)]
-        return svg_packing(triples, spec, summary)
+        pairs = [(ball, w.color) for ball, w in zip(balls, spacelike)]
+        return svg_packing(pairs, 0.75, 800, summary)
 
     rows = []
     for ball, cap, w in zip(balls, caps, spacelike):

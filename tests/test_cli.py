@@ -199,6 +199,22 @@ def test_negative_length_is_usage_error(graph_file, capsys, universal4, cmd):
     assert code == 2 and "--length" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--min-radius", "-1"),
+        ("--min-radius", "nan"),
+        ("--min-radius", "inf"),
+        ("--canvas", "0"),
+        ("--canvas", "-10"),
+    ],
+)
+def test_pack_render_flags_are_usage_errors(graph_file, capsys, universal4, flag, value):
+    argv = ["pack", graph_file(universal4), "--length", "2", "--format", "svg", flag, value]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and flag in err and out == ""
+
+
 def test_enum_rank5(tmp_path, capsys):
     out_csv = tmp_path / "census.csv"
     out_json = tmp_path / "census.json"

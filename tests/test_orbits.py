@@ -11,6 +11,7 @@ from coxpack.orbits import (
     RootSource,
     VectorClass,
     WeightSource,
+    _walk,
     bilinear,
     classify_norm,
 )
@@ -123,6 +124,30 @@ def test_roots_validation():
         cp.roots_up_to_depth(cp.universal_graph(4), 6, max_records=10)
 
 
+def test_walk_stacks_layers():
+    """_walk stacks the layers; a finite orbit ends, and an empty one keeps its shapes."""
+    b = cp.path_graph([3]).gram  # A2: alpha_0, alpha_1, then alpha_0 + alpha_1
+    vectors, colors, ends, lengths, layer = _walk(b, np.eye(2), -1, 5, None, "roots")
+    assert layer.tolist() == [0, 0, 1] and colors.tolist() == [0, 1, 1]
+    assert np.allclose(vectors, [[1, 0], [0, 1], [1, 1]])
+    assert ends.shape == (3, 0, 2) and lengths.shape == (3, 0)
+    empty = _walk(b, np.empty((0, 2)), -1, 5, None, "roots")
+    assert [c.shape for c in empty] == [(0, 2), (0,), (0, 0, 2), (0, 0), (0,)]
+
+
+def test_walk_cap_boundary():
+    """The exact record count passes; one fewer, or one record already counted, raises."""
+    b = cp.universal_graph(4).gram
+    count = len(_walk(b, np.eye(4), -1, 4, None, "roots")[0])
+    assert count == 4 + 12 + 36 + 108
+    assert len(_walk(b, np.eye(4), -1, 4, count, "roots")[0]) == count
+    with pytest.raises(OrbitCapError) as err:
+        _walk(b, np.eye(4), -1, 4, count - 1, "roots")
+    assert err.value.cap == count - 1
+    with pytest.raises(OrbitCapError):
+        _walk(b, np.eye(4), -1, 4, count, "roots", total=1)
+
+
 def test_weights_length_zero(universal4):
     records = cp.weights_up_to_length(universal4, 0)
     assert len(records) == 4
@@ -196,12 +221,17 @@ def test_limit_sample_roots(fig1a):
     assert s5.quadratic_residual > s7.quadratic_residual > 0
     for p in s7.points:
         assert float(np.sum(p.coords)) == pytest.approx(1.0, abs=1e-12)
+    shell = [r.vector / r.height for r in cp.roots_up_to_depth(fig1a, 7) if r.depth == 7]
+    assert np.allclose([p.coords for p in s7.points], shell)
 
 
 def test_limit_sample_weights(fig1a):
     s = cp.limit_sample(fig1a, WeightSource(4))
     assert s.dropped_zero_height == 0
     assert all(not p.at_infinity for p in s.points)
+    weights = cp.weights_up_to_length(fig1a, 4)
+    shell = [w.vector / w.vector.sum() for w in weights if w.word_length == 4]
+    assert np.allclose([p.coords for p in s.points], shell)
 
 
 def test_limit_sample_requires_lorentzian():
