@@ -200,30 +200,31 @@ def _levels01(batches: list[Batch], labs: list[EdgeLabel], zero_tol: float):
 
 
 def _catalog_level01(max_n: int, labels, zero_tol: float):
+    """Level-0 trees by rank, and the level-1 trees, cycles and tailed cycles.
+
+    The level-1 trees and cycles come keyed, as dicts from canonical key to
+    graph in the order found; their growth loops key them anyway.
+    """
     labs = [EdgeLabel(m) for m in labels]
     l0_trees: dict[int, list[CoxeterGraph]] = {1: [CoxeterGraph(1)]}
-    l1_trees: list[CoxeterGraph] = []
+    l1_trees: dict[bytes, CoxeterGraph] = {}
     for k in range(1, max_n):
-        grown: list[CoxeterGraph] = []
-        seen: set[bytes] = set()
+        grown: dict[bytes, CoxeterGraph] = {}
         batches = [_joined(base, v) for base in l0_trees[k] for v in range(k)]
         for cand, lv in _levels01(batches, labs, zero_tol):
             key = canonical_key(cand)
-            if key not in seen:
-                seen.add(key)
-                (grown if lv == 0 else l1_trees).append(cand)
-        l0_trees[k + 1] = grown
+            if key not in grown and key not in l1_trees:
+                (grown if lv == 0 else l1_trees)[key] = cand
+        l0_trees[k + 1] = list(grown.values())
 
     l0_paths = {k: [t for t in trees if _is_path(t)] for k, trees in l0_trees.items()}
 
-    l1_cycles: list[CoxeterGraph] = []
+    l1_cycles: dict[bytes, CoxeterGraph] = {}
     for k in range(2, max_n):
-        seen = set()
         batches = [_joined(base, *_leaves(base)) for base in l0_paths[k]]
         for cand, lv in _levels01(batches, labs, zero_tol):
-            if lv == 1 and (key := canonical_key(cand)) not in seen:
-                seen.add(key)
-                l1_cycles.append(cand)
+            if lv == 1:
+                l1_cycles.setdefault(canonical_key(cand), cand)
 
     l1_tailed: list[CoxeterGraph] = []
     for m in range(3, max_n):
@@ -259,13 +260,12 @@ def enumerate_level1(
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
     _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, labels, zero_tol)
-    graphs = [
-        g for g in l1_trees + l1_cycles + l1_tailed + _specials() if g.rank <= max_n
-    ]
-    _check_level(graphs, 1, zero_tol, "catalog graph {} is not level 1")
+    keyed = [*l1_trees.items(), *l1_cycles.items()]
+    keyed += [(canonical_key(g), g) for g in l1_tailed + _specials() if g.rank <= max_n]
+    _check_level([g for _, g in keyed], 1, zero_tol, "catalog graph {} is not level 1")
     out: dict[bytes, CoxeterGraph] = {}
-    for g in graphs:
-        out.setdefault(canonical_key(g), g)
+    for key, g in keyed:
+        out.setdefault(key, g)
     return [out[k] for k in sorted(out)]
 
 
@@ -391,8 +391,8 @@ def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
     member is built as a graph, so a malformed free pair (out of range, a
     self-loop, or a duplicate of a pair or of a base edge) raises GraphError.
     The level-1 catalog decides its levels on these stacks; tests filter the
-    nomination stacks with _filter_level2_arrays as the reference for
-    _rank_survivors.
+    nomination stacks with a per-candidate eigvalsh filter as the reference
+    for _rank_survivors.
     """
     values = np.array([lab.gram_entry() for lab in labs])
     for base, pairs in batches:
@@ -408,31 +408,9 @@ def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
 # level(g) == 2 is equivalent to: some vertex deletion is not positive
 # semidefinite, and every deletion of two vertices is.  A non-PSD full
 # matrix is a necessary precondition.  _rank_survivors is the census's
-# path; _filter_level2_arrays decides each candidate's own minors and is
-# kept as its test reference.
+# path; the tests keep a filter that decides each candidate's own minors by
+# direct eigvalsh calls as its reference.
 # ---------------------------------------------------------------------------
-
-
-def _filter_level2_arrays(grams: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Indices of the stacked Gram matrices that belong to level-2 graphs."""
-    alive = np.arange(grams.shape[0])
-    # the full matrix must fail positive semidefiniteness
-    alive = alive[~minors_psd(grams, 0, zero_tol)]
-    # so must some single-vertex deletion
-    alive = alive[~minors_psd(grams[alive], 1, zero_tol)]
-    # and every two-vertex deletion must pass it
-    return alive[minors_psd(grams[alive], 2, zero_tol)]
-
-
-def _filter_level2(graphs: list[CoxeterGraph], zero_tol: float) -> list[CoxeterGraph]:
-    """The level-2 graphs of a list, in list order, by _filter_level2_arrays."""
-    keep: list[int] = []
-    for n in sorted({g.rank for g in graphs}):
-        idxs = [i for i, g in enumerate(graphs) if g.rank == n]
-        rows = _filter_level2_arrays(np.stack([graphs[i].gram for i in idxs]), zero_tol)
-        keep.extend(idxs[row] for row in rows)
-    keep.sort()
-    return [graphs[i] for i in keep]
 
 
 class _Tables(NamedTuple):

@@ -14,6 +14,7 @@ from .graphs import CoxeterGraph
 DEFAULT_ZERO_TOL = 1e-3
 _SYMMETRY_TOL = 1e-12
 _EIG_CHUNK = 8192  # matrices per eigvalsh call
+_SCREEN_MIN = 128  # smaller stacks skip the Cholesky screen, whose fixed cost exceeds eigvalsh's
 _SINGULAR_RTOL = 1e-9  # a form with |det| below this times max(max|B|, 1)^n is singular
 
 
@@ -93,9 +94,10 @@ def minors_psd(
 
     A principal minor on n - k vertices passes when its minimum eigenvalue
     is >= -zero_tol (finite or affine), or with finite=True > zero_tol
-    (finite).  Minors go to eigvalsh about _EIG_CHUNK at a time: while many
-    matrices remain, one deletion across all of them; while few remain, a
-    block of deletions each.  A matrix drops out at its first failing block.
+    (finite).  Minors are decided about _EIG_CHUNK at a time, by _decide:
+    while many matrices remain, one deletion across all of them; while few
+    remain, a block of deletions each.  A matrix drops out at its first
+    failing block.
     """
     _check_tol(zero_tol)
     grams = np.asarray(grams, dtype=float)
@@ -112,17 +114,68 @@ def minors_psd(
         minors = grams if k == 0 else grams[
             alive[:, None, None, None], block[None, :, :, None], block[None, :, None, :]
         ].reshape(-1, n - k, n - k)
-        low = np.concatenate(
+        ok = np.concatenate(
             [
-                np.linalg.eigvalsh(minors[lo : lo + _EIG_CHUNK])[:, 0]
+                _decide(minors[lo : lo + _EIG_CHUNK], zero_tol, finite)
                 for lo in range(0, len(minors), _EIG_CHUNK)
             ]
         ).reshape(alive.size, len(block))
-        ok = low > zero_tol if finite else low >= -zero_tol
         alive = alive[ok.all(axis=1)]
     mask = np.zeros(count, dtype=bool)
     mask[alive] = True
     return mask
+
+
+def _pivots_positive(stack: np.ndarray, shift: float) -> np.ndarray:
+    """Mask of the matrices A in the stack whose A - shift*I has a Cholesky
+    factorization with every pivot positive.
+
+    Each of the n pivot steps takes the Schur complement of the whole stack
+    in elementwise ops, so a matrix's pivots do not depend on the rest of
+    the stack.  A matrix stops changing at its first nonpositive pivot, so
+    no square root of a negative number and no division by zero happens.
+    """
+    n = stack.shape[-1]
+    ok = np.ones(len(stack), dtype=bool)
+    s = stack - shift * np.eye(n)
+    for _ in range(n):
+        pivot = s[:, 0, 0]
+        ok &= pivot > 0
+        col = s[:, 1:, :1] / np.sqrt(np.where(ok, pivot, np.inf))[:, None, None]
+        outer = col * col.transpose(0, 2, 1)
+        s = np.subtract(s[:, 1:, 1:], outer, out=outer)
+    return ok
+
+
+def _decide(stack: np.ndarray, zero_tol: float, finite: bool) -> np.ndarray:
+    """Mask of the matrices in the stack whose minimum eigenvalue passes.
+
+    A matrix passes at low >= -zero_tol, or with finite=True at
+    low > zero_tol, where low is its minimum eigenvalue from eigvalsh.
+    From _SCREEN_MIN matrices on, two Cholesky factorizations decide most
+    of them first, at margin delta = zero_tol / 2 around that threshold t:
+    all pivots of A - (t + delta)I positive certify a pass, a nonpositive
+    pivot of A - (t - delta)I certifies a failure, and only the matrices
+    left in between go to eigvalsh.  Cholesky is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10), so the screen
+    agrees with eigvalsh as long as delta lies far above the roundoff of
+    both kernels, about 1e-13 for these unit-diagonal Gram matrices.
+    """
+    t = zero_tol if finite else -zero_tol
+
+    def passes(a: np.ndarray) -> np.ndarray:
+        low = np.linalg.eigvalsh(a)[:, 0]
+        return low > t if finite else low >= t
+
+    if len(stack) < _SCREEN_MIN:
+        return passes(stack)
+    delta = zero_tol / 2
+    ok = _pivots_positive(stack, t + delta)
+    rest = np.flatnonzero(~ok)
+    band = rest[_pivots_positive(stack[rest], t - delta)]
+    if band.size:
+        ok[band] = passes(stack[band])
+    return ok
 
 
 def is_level_at_most(g: CoxeterGraph, r: int, zero_tol: float = DEFAULT_ZERO_TOL) -> bool:

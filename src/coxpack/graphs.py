@@ -204,33 +204,48 @@ def induced_subgraph(g: CoxeterGraph, keep) -> CoxeterGraph:
 # ---------------------------------------------------------------------------
 # Canonical form.  Individualization-refinement with automorphism pruning:
 # exact for edge-labeled graphs, cheap at rank <= 32 and trivial at the
-# census sizes (rank <= 11).
+# census sizes (rank <= 11).  Refinement signs a vertex by its colour and
+# its edges alone, as the sorted codes tokcode * n + colour of its
+# neighbours and a sentinel that ranks after every edge.  These signatures
+# order vertices exactly as full rows of (token, colour) pairs over all
+# other vertices would: non-edges sort after every edge, so the sentinel
+# puts a longer neighbour list first, and the non-neighbours' colours
+# follow from the colour histogram.  So the colourings, the search tree and
+# the key are those of the full rows.
 # ---------------------------------------------------------------------------
 
 
 def canonical_key(g: CoxeterGraph) -> bytes:
     """Deterministic byte string; equal exactly for isomorphic labeled graphs."""
     n = g.rank
-    tok = [[_NO_EDGE] * n for _ in range(n)]
-    for u, v, lab in g.edges:
-        t = lab.token()
-        tok[u][v] = t
-        tok[v][u] = t
-
     if n == 1:
         return b"1:"
 
+    tokens = [lab.token() for _, _, lab in g.edges]
+    tok = [[_NO_EDGE] * n for _ in range(n)]
+    # tokcode[t] is t's rank among the sorted edge tokens, times n
+    tokcode = {t: i * n for i, t in enumerate(sorted(set(tokens)))}
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v, _), t in zip(g.edges, tokens):
+        tok[u][v] = tok[v][u] = t
+        nbrs[u].append((tokcode[t], v))
+        nbrs[v].append((tokcode[t], u))
+    sentinel = len(tokcode) * n  # the no-edge rank, after every edge code
+
     def refine(colors: list[int]) -> list[int]:
+        cells = len(set(colors))
         while True:
-            sigs = []
-            for v in range(n):
-                row = sorted((tok[v][u], colors[u]) for u in range(n) if u != v)
-                sigs.append((colors[v], tuple(row)))
+            sigs = [
+                (colors[v], *sorted([code + colors[u] for code, u in nbrs[v]]), sentinel)
+                for v in range(n)
+            ]
             order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = [order[s] for s in sigs]
-            if new == colors:
+            colors = [order[s] for s in sigs]
+            # each signature starts with its colour, so no new cell means a
+            # stable partition; its colours are now ranks and stay as they are
+            if len(order) == cells:
                 return colors
-            colors = new
+            cells = len(order)
 
     def encode(perm: list[int]) -> tuple:
         return tuple(

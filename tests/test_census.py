@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxpack as cp
-from coxpack import census
+from coxpack import census, forms
 from coxpack.cli import main
 from coxpack.forms import minors_psd
 from coxpack.census import (
@@ -19,8 +19,6 @@ from coxpack.census import (
     _catalog_level01,
     _deletion_tables,
     _family_survivors,
-    _filter_level2,
-    _filter_level2_arrays,
     _gram_stack,
     _is_cycle,
     _is_path,
@@ -38,6 +36,7 @@ from coxpack.census import (
     enumerate_level2,
     nominate,
 )
+from reference_census import filter_level2, filter_level2_arrays
 
 TOLS = (5e-4, 1e-3, 2e-3)
 
@@ -154,12 +153,17 @@ def _reference_catalog(max_n, labels, zero_tol):
 def test_catalog_matches_per_candidate_reference(level1, tol):
     """Stacked level decisions keep the same catalog graphs, in the same order."""
 
-    def compact(catalog):
-        l0_trees, *rest = catalog
-        return [[cp.to_compact(g) for g in gs] for gs in [*l0_trees.values(), *rest]]
+    def compact(groups):
+        return [[cp.to_compact(g) for g in gs] for gs in groups]
 
-    want = _reference_catalog(10, ADMISSIBLE_LABELS, tol)
-    assert compact(_catalog_level01(10, ADMISSIBLE_LABELS, tol)) == compact(want)
+    l0_trees, *rest = _reference_catalog(10, ADMISSIBLE_LABELS, tol)
+    want = [*l0_trees.values(), *rest]
+    l0_trees, l1_trees, l1_cycles, l1_tailed = _catalog_level01(10, ADMISSIBLE_LABELS, tol)
+    # the level-1 trees and cycles come keyed by their own canonical keys
+    for keyed in (l1_trees, l1_cycles):
+        assert list(keyed) == [cp.canonical_key(g) for g in keyed.values()]
+    got = [*l0_trees.values(), l1_trees.values(), l1_cycles.values(), l1_tailed]
+    assert compact(got) == compact(want)
     got = [cp.to_compact(g) for g in enumerate_level1(10, zero_tol=tol)]
     assert got == [cp.to_compact(g) for g in level1]
     assert len(got) == 96
@@ -219,7 +223,7 @@ def test_gram_stacks_match_nominate(level1_5, family):
         assert got.tobytes() == np.stack(want).tobytes()
     # survivors are rebuilt as the same graphs, in the same order
     for tol in TOLS:
-        assert _family_survivors(family, level1_5, labs, 6, tol) == _filter_level2(graphs, tol)
+        assert _family_survivors(family, level1_5, labs, 6, tol) == filter_level2(graphs, tol)
 
 
 @st.composite
@@ -256,7 +260,7 @@ def test_batch_survivors_match_reference_filter(data):
             lo + codes @ len(labs) ** np.arange(len(pairs))[::-1]
             for lo, codes, (_, pairs) in zip(first, got, batches)
         ]
-        want = _filter_level2_arrays(grams, tol)
+        want = filter_level2_arrays(grams, tol)
         assert np.concatenate(members).tolist() == want.tolist()
 
 
@@ -295,7 +299,10 @@ def test_census_kernel_work_bound(monkeypatch):
     One minor per candidate and deletion is 1,271,785; the two-vertex
     deletion tables leave 92,172.  Deciding each family's tables of one rank
     in blocks, and verifying each rank's survivors on one stack, takes 109
-    calls (one minors_psd call per deletion and batch took 9,734).
+    calls (one minors_psd call per deletion and batch took 9,734).  With the
+    Cholesky screen on every stack, however small, no matrix reaches
+    eigvalsh at any of the three tolerances: every census decision is
+    certified at a margin of tol/2.
     """
     matrices, calls = [0], [0]
     eigvalsh = np.linalg.eigvalsh
@@ -310,6 +317,12 @@ def test_census_kernel_work_bound(monkeypatch):
     assert len(enumerate_level2(max_rank=8)) == 304
     assert matrices[0] < 120_000
     assert calls[0] < 400
+
+    monkeypatch.setattr(forms, "_SCREEN_MIN", 1)
+    for tol in TOLS:
+        matrices[0] = 0
+        assert len(enumerate_level2(max_rank=8, zero_tol=tol)) == 304
+        assert matrices[0] == 0
 
 
 NOMINATED_AT_RANK11 = {
@@ -397,7 +410,7 @@ def test_census_rejects_a_survivor_of_level_1(monkeypatch, level1_5, tmp_path, c
 
 def test_filter_level2_agrees_with_direct_level(level1):
     cands = [g for g in nominate(Family.FROM_K23, level1) if g.rank >= 5]
-    fast = {cp.canonical_key(g) for g in _filter_level2(cands, 1e-3)}
+    fast = {cp.canonical_key(g) for g in filter_level2(cands, 1e-3)}
     slow = {cp.canonical_key(g) for g in cands if cp.level(g) == 2}
     assert fast == slow
 
@@ -462,10 +475,10 @@ def test_census_11_vertices_are_trees(census_entries):
 def test_dedup_stable_under_candidate_shuffle(level1):
     """The admitted key set cannot depend on nomination order."""
     cands = [g for g in nominate(Family.FROM_K4_MINUS_E, level1) if g.rank >= 5]
-    ordered = {cp.canonical_key(g) for g in _filter_level2(cands, 1e-3)}
+    ordered = {cp.canonical_key(g) for g in filter_level2(cands, 1e-3)}
     shuffled = cands[:]
     random.Random(3).shuffle(shuffled)
-    assert {cp.canonical_key(g) for g in _filter_level2(shuffled, 1e-3)} == ordered
+    assert {cp.canonical_key(g) for g in filter_level2(shuffled, 1e-3)} == ordered
 
 
 def test_census_contains_butterfly(census_entries):

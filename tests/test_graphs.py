@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import coxpack as cp
 from coxpack.graphs import GraphError, graph_to_dict
+
+import reference_census
 
 
 def test_edge_label_validation():
@@ -200,6 +203,66 @@ def test_canonical_key_random_relabelings(g, rng):
     perm = list(range(g.rank))
     rng.shuffle(perm)
     assert cp.canonical_key(_relabel(g, perm)) == cp.canonical_key(g)
+
+
+def _symmetric_families():
+    inf, dotted = cp.EdgeLabel(None, 1.0), cp.EdgeLabel(None, 1.5)
+    for n in range(1, 8):
+        for lab in (3, 4, inf, dotted):
+            yield cp.complete_graph(n, lab)
+    for n in range(3, 10):
+        yield cp.cycle_graph([3] * n)
+        yield cp.cycle_graph([4, 5] * (n // 2) + [4] * (n % 2))
+    for n in range(1, 9):
+        for lab in (cp.EdgeLabel(3), inf):
+            yield cp.CoxeterGraph(n + 1, tuple((0, v, lab) for v in range(1, n + 1)))
+    for lab in (cp.EdgeLabel(3), dotted):
+        yield cp.CoxeterGraph(5, tuple((u, v, lab) for u in (0, 1) for v in (2, 3, 4)))
+
+
+@pytest.mark.parametrize("g", list(_symmetric_families()), ids=cp.to_compact)
+def test_canonical_key_matches_reference_on_symmetric_families(g):
+    """Complete graphs, cycles, stars and K_{2,3}: large automorphism groups."""
+    assert cp.canonical_key(g) == reference_census.canonical_key(g)
+
+
+def test_canonical_key_matches_reference_on_census(census_entries):
+    """The census graphs and a random relabeling of each key as the reference keys them."""
+    assert len(census_entries) == 326
+    rng = random.Random(17)
+    for e in census_entries:
+        perm = list(range(e.rank))
+        rng.shuffle(perm)
+        for g in (e.graph, _relabel(e.graph, perm)):
+            assert cp.canonical_key(g) == reference_census.canonical_key(g) == e.key
+
+
+ORACLE_LABELS = tuple(cp.EdgeLabel(m) for m in range(3, 8)) + tuple(
+    cp.EdgeLabel(None, c) for c in (1.0, 1.5, 3.0)
+)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Rank 1-9; each pair has no edge, a label 3-7, inf, or a dotted label."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    density = draw(st.sampled_from((0.2, 0.5, 0.9)))
+    labels = draw(st.lists(st.sampled_from(ORACLE_LABELS), min_size=1, max_size=4, unique=True))
+    edges = [
+        (u, v, draw(st.sampled_from(labels)))
+        for u, v in itertools.combinations(range(n), 2)
+        if draw(st.floats(0.0, 1.0)) < density
+    ]
+    return cp.CoxeterGraph(n, tuple(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_graphs(), st.randoms(use_true_random=False))
+def test_canonical_key_matches_reference(g, rng):
+    perm = list(range(g.rank))
+    rng.shuffle(perm)
+    for h in (g, _relabel(g, perm)):
+        assert cp.canonical_key(h) == reference_census.canonical_key(h)
 
 
 def test_graph_to_dict_defaults():

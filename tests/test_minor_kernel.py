@@ -3,6 +3,8 @@
 The reference is the loop the library used before forms.minors_psd: one
 eigvalsh call on each principal minor b[np.ix_(idx, idx)], a minor on
 rank - r vertices passing at minimum eigenvalue >= -tol (finite: > tol).
+The kernel's Cholesky screen runs only on stacks of forms._SCREEN_MIN
+matrices or more, so the tests that check it lower that constant to 1.
 """
 
 from itertools import combinations
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 import coxpack as cp
 from coxpack import forms
-from coxpack.census import _filter_level2_arrays
 from coxpack.forms import minors_psd
 from coxpack.tangency import is_strict_level2
+from reference_census import filter_level2_arrays
 
 TOLS = (5e-4, 1e-3, 2e-3)
 
@@ -42,16 +44,21 @@ def ref_is_strict_level2(g, tol):
     return all(low > tol for low in minor_min_eigs(g.gram, 2))
 
 
+LABELS = tuple(cp.EdgeLabel(m) for m in (3, 4, 5, 6)) + tuple(
+    cp.EdgeLabel(None, c) for c in (1.0, 1.5, 3.0)
+)
+
+
 @st.composite
 def graphs_of_rank(draw, n):
-    """A graph on n vertices; each pair has no edge or a label in {3, 4, 5, 6, inf}."""
+    """A graph on n vertices; each pair has no edge or a label in
+    {3, 4, 5, 6, inf}, or a dotted one with c in {1.5, 3}."""
     density = draw(st.sampled_from((0.3, 0.5, 0.8)))
     edges = []
     for u, v in combinations(range(n), 2):
         if draw(st.floats(0.0, 1.0)) >= density:
             continue
-        m = draw(st.sampled_from((3, 4, 5, 6, "inf")))
-        edges.append((u, v, cp.EdgeLabel(None, 1.0) if m == "inf" else cp.EdgeLabel(m)))
+        edges.append((u, v, draw(st.sampled_from(LABELS))))
     return cp.CoxeterGraph(n, tuple(edges))
 
 
@@ -62,10 +69,11 @@ def graph_batches(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph_batches(), st.sampled_from(TOLS), st.sampled_from((3, 8192)))
+@given(graph_batches(), st.sampled_from(TOLS + (1e-9,)), st.sampled_from((3, 8192)))
 def test_kernel_matches_reference(batch, tol, chunk):
-    # chunk 3 splits every eigvalsh stack and every deletion block
-    with mock.patch.object(forms, "_EIG_CHUNK", chunk):
+    # chunk 3 splits every eigvalsh stack and every deletion block; the
+    # Cholesky screen runs on every stack, however small
+    with mock.patch.object(forms, "_EIG_CHUNK", chunk), mock.patch.object(forms, "_SCREEN_MIN", 1):
         levels = []
         for g in batch:
             for r in range(g.rank):
@@ -76,7 +84,7 @@ def test_kernel_matches_reference(batch, tol, chunk):
                 assert is_strict_level2(g, tol) == ref_is_strict_level2(g, tol)
             levels.append(lv)
         grams = np.stack([g.gram for g in batch])
-        survivors = _filter_level2_arrays(grams, tol)
+        survivors = filter_level2_arrays(grams, tol)
     assert sorted(survivors.tolist()) == [i for i, lv in enumerate(levels) if lv == 2]
 
 
@@ -104,6 +112,34 @@ def test_kernel_masks_a_stack():
     assert minors_psd(grams, 0, finite=True).tolist() == [True, False, False]
     assert minors_psd(grams, 1).tolist() == [True, True, True]
     assert minors_psd(grams[:0], 1).tolist() == []
+
+
+@pytest.mark.parametrize("finite", [False, True])
+@pytest.mark.parametrize("tol", TOLS + (1e-9,))
+def test_screen_defers_exactly_the_near_band(monkeypatch, tol, finite):
+    """2x2 Gram matrices with minimum eigenvalue 1 - |c| placed around the
+    threshold t: the rows within tol/4 of t, on both sides, reach eigvalsh,
+    and the rows at least tol away are decided by the screen alone."""
+    t = tol if finite else -tol
+    near = t + tol * np.array([-1 / 4, -1 / 8, -1 / 16, 0.0, 1 / 16, 1 / 8, 1 / 4])
+    far = t + tol * np.array([-10.0, -2.0, -1.0, 1.0, 2.0, 10.0])
+    lows = np.concatenate([far[:3], near, far[3:]])
+    grams = np.array([[[1.0, low - 1.0], [low - 1.0, 1.0]] for low in lows])
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        sent.extend(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(forms, "_SCREEN_MIN", 1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    got = minors_psd(grams, 0, tol, finite=finite)
+    monkeypatch.undo()
+    assert np.array(sent).tobytes() == grams[3:-3].tobytes()
+    want = [next(minor_min_eigs(b, 0)) for b in grams]
+    assert got.tolist() == [low > t if finite else low >= t for low in want]
+    assert got[:3].tolist() == [False] * 3 and got[-3:].tolist() == [True] * 3
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
