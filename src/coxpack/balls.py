@@ -197,13 +197,13 @@ def separation(x, y, b: np.ndarray) -> float:
     return -bilinear(b, normalize_spacelike(x, b), normalize_spacelike(y, b))
 
 
-def classify_pair(x, y, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> PairRelation:
+def classify_pair(x, y, b: np.ndarray) -> PairRelation:
     s = separation(x, y, b)
-    if s > 1.0 + tol:
+    if s > 1.0 + _ALGEBRAIC_TOL:
         kind = PairKind.DISJOINT
-    elif abs(s - 1.0) <= tol:
+    elif abs(s - 1.0) <= _ALGEBRAIC_TOL:
         kind = PairKind.TANGENT
-    elif s < -tol:
+    elif s < -_ALGEBRAIC_TOL:
         kind = PairKind.DEEP_INTERSECT
     else:
         kind = PairKind.TRANSVERSAL
@@ -264,7 +264,7 @@ def _balls_of_rows(kappa: np.ndarray, kc: np.ndarray, offsets: list) -> list[Euc
     return [EuclideanBall(k, _frozen(c), o) for k, c, o in zip(kappa.tolist(), kc, offsets)]
 
 
-def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> ClusterReport:
+def validate_cluster(weights, b: np.ndarray) -> ClusterReport:
     """Pairwise separation audit of the balls of the space-like weights.
 
     A packing requires every distinct pair to have separation >= 1; pairs
@@ -273,10 +273,10 @@ def validate_cluster(weights, b: np.ndarray, tol: float = _ALGEBRAIC_TOL) -> Clu
     produce them.
     """
     unit, ids = spacelike_unit_rows(weights)
-    return _cluster_report(unit, ids, b, tol)
+    return _cluster_report(unit, ids, b)
 
 
-def _cluster_report(unit: np.ndarray, ids, b: np.ndarray, tol: float = _ALGEBRAIC_TOL):
+def _cluster_report(unit: np.ndarray, ids, b: np.ndarray):
     """validate_cluster on B-unit rows; ids[i] names row i in the reported pairs."""
     if len(ids) < 2:
         return ClusterReport(True, math.inf, (), ())
@@ -294,12 +294,12 @@ def _cluster_report(unit: np.ndarray, ids, b: np.ndarray, tol: float = _ALGEBRAI
         cuts = np.stack([rows * k + lo + rows + 1, (rows + 1) * k], axis=1).ravel()
         low = np.minimum.reduceat(seps.ravel(), cuts[cuts < seps.size])[::2]
         min_sep = min(min_sep, float(low.min()))
-        for r in np.flatnonzero(low < 1.0 - tol):
+        for r in np.flatnonzero(low < 1.0 - _ALGEBRAIC_TOL):
             i = lo + int(r)
-            for j in np.flatnonzero(seps[r, i + 1 :] < 1.0 - tol) + i + 1:
+            for j in np.flatnonzero(seps[r, i + 1 :] < 1.0 - _ALGEBRAIC_TOL) + i + 1:
                 s = float(seps[r, j])
                 violating.append((ids[i], ids[int(j)], s))
-                if s < -tol:
+                if s < -_ALGEBRAIC_TOL:
                     deep.append((ids[i], ids[int(j)], s))
     return ClusterReport(
         is_packing=not violating,
@@ -311,12 +311,7 @@ def _cluster_report(unit: np.ndarray, ids, b: np.ndarray, tol: float = _ALGEBRAI
 
 def residual_margin(p: ProjectivePoint, weights, b: np.ndarray) -> float:
     """min over ball normals of B(p, normal); negative inside some ball interior."""
-    if p.at_infinity:
-        raise ValueError("residual margin is defined for affine points only")
-    unit, ids = spacelike_unit_rows(weights)
-    if not ids:
-        return math.inf
-    return float((unit @ (b @ p.coords)).min())
+    return float(residual_margins([p], weights, b)[0])
 
 
 def residual_margins(points, weights, b: np.ndarray) -> np.ndarray:

@@ -33,11 +33,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .forms import _EIG_CHUNK, DEFAULT_ZERO_TOL, fundamental_weights, minors_psd
+from .forms import _EIG_CHUNK, DEFAULT_ZERO_TOL, _levels, fundamental_weights, minors_psd
 from .graphs import (
     CoxeterGraph,
     EdgeLabel,
@@ -53,6 +53,8 @@ from .tangency import (
 )
 
 ADMISSIBLE_LABELS = (3, 4, 5, 6)
+_LABELS = tuple(EdgeLabel(m) for m in ADMISSIBLE_LABELS)
+_VALUES = np.array([lab.gram_entry() for lab in _LABELS])  # label code -> Gram entry
 
 
 class Family(Enum):
@@ -105,13 +107,14 @@ def _labeled(base: CoxeterGraph, pairs, labeling) -> CoxeterGraph:
     )
 
 
-def _label_codes(k: int, radix: int) -> np.ndarray:
-    """Every labeling of k free pairs as a row of label indices, in product order."""
+def _label_codes(k: int) -> np.ndarray:
+    """Every labeling of k free pairs as a row of label codes, in product order."""
+    radix = len(_LABELS)
     return np.indices((radix,) * k, dtype=np.int8).reshape(k, radix**k).T
 
 
-def _member_grams(gram: np.ndarray, pairs, codes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """One Gram matrix per row of codes, giving free pair i the value values[row[i]].
+def _member_grams(gram: np.ndarray, pairs, codes: np.ndarray) -> np.ndarray:
+    """One Gram matrix per row of codes, giving free pair i the label _LABELS[row[i]].
 
     gram is the base's Gram matrix (zero at the free pairs); each result
     equals the member's CoxeterGraph.gram bitwise.
@@ -119,7 +122,7 @@ def _member_grams(gram: np.ndarray, pairs, codes: np.ndarray, values: np.ndarray
     stack = np.repeat(gram[None], len(codes), axis=0)
     if len(pairs):
         u, v = np.array(pairs).T
-        stack[:, u, v] = stack[:, v, u] = values[codes]
+        stack[:, u, v] = stack[:, v, u] = _VALUES[codes]
     return stack
 
 
@@ -178,40 +181,36 @@ def _path_order(g: CoxeterGraph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _levels01(batches: list[Batch], labs: list[EdgeLabel], zero_tol: float):
+def _levels01(batches: list[Batch], zero_tol: float):
     """The members of level 0 or 1 of same-rank batches, with their levels, in order.
 
     Both levels are decided on one _gram_stack, so apart from the first member
     of each batch, which the stack builds as a check, a graph is built only for
     a member of level <= 1.
     """
-    grams = _gram_stack(batches, labs)
-    levels = np.where(minors_psd(grams, 0, zero_tol), 0, 2)
-    rest = np.flatnonzero(levels)
-    levels[rest[minors_psd(grams[rest], 1, zero_tol)]] = 1
+    levels = _levels(_gram_stack(batches), zero_tol, below=2)
     members = (
         (base, pairs, labeling)
         for base, pairs in batches
-        for labeling in product(labs, repeat=len(pairs))
+        for labeling in product(_LABELS, repeat=len(pairs))
     )
     for (base, pairs, labeling), lv in zip(members, levels):
         if lv <= 1:
             yield _labeled(base, pairs, labeling), int(lv)
 
 
-def _catalog_level01(max_n: int, labels, zero_tol: float):
+def _catalog_level01(max_n: int, zero_tol: float):
     """Level-0 trees by rank, and the level-1 trees, cycles and tailed cycles.
 
     The level-1 trees and cycles come keyed, as dicts from canonical key to
     graph in the order found; their growth loops key them anyway.
     """
-    labs = [EdgeLabel(m) for m in labels]
     l0_trees: dict[int, list[CoxeterGraph]] = {1: [CoxeterGraph(1)]}
     l1_trees: dict[bytes, CoxeterGraph] = {}
     for k in range(1, max_n):
         grown: dict[bytes, CoxeterGraph] = {}
         batches = [_joined(base, v) for base in l0_trees[k] for v in range(k)]
-        for cand, lv in _levels01(batches, labs, zero_tol):
+        for cand, lv in _levels01(batches, zero_tol):
             key = canonical_key(cand)
             if key not in grown and key not in l1_trees:
                 (grown if lv == 0 else l1_trees)[key] = cand
@@ -222,14 +221,14 @@ def _catalog_level01(max_n: int, labels, zero_tol: float):
     l1_cycles: dict[bytes, CoxeterGraph] = {}
     for k in range(2, max_n):
         batches = [_joined(base, *_leaves(base)) for base in l0_paths[k]]
-        for cand, lv in _levels01(batches, labs, zero_tol):
+        for cand, lv in _levels01(batches, zero_tol):
             if lv == 1:
                 l1_cycles.setdefault(canonical_key(cand), cand)
 
     l1_tailed: list[CoxeterGraph] = []
     for m in range(3, max_n):
         batch = _joined(cycle_graph([3] * m), 0)
-        l1_tailed.extend(cand for cand, lv in _levels01([batch], labs, zero_tol) if lv == 1)
+        l1_tailed.extend(cand for cand, lv in _levels01([batch], zero_tol) if lv == 1)
 
     return l0_trees, l1_trees, l1_cycles, l1_tailed
 
@@ -243,23 +242,16 @@ def _specials() -> list[CoxeterGraph]:
     return [k4, k4_minus_e, k23]
 
 
-def enumerate_level1(
-    max_n: int = 10,
-    labels: Iterable[int] = ADMISSIBLE_LABELS,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> list[CoxeterGraph]:
+def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> list[CoxeterGraph]:
     """Connected level-1 trees, cycles, and singly-tailed cycles, plus specials.
 
     These shapes (and the three special graphs) are the only connected
     level <= 1 graphs that appear as building blocks of level-2 graphs on
     five or more vertices, which also pins the label set to {3, 4, 5, 6}.
     """
-    labels = tuple(sorted(set(labels)))
-    if labels != ADMISSIBLE_LABELS:
-        raise ValueError(f"unsupported label set {labels}; expected {ADMISSIBLE_LABELS}")
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
-    _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, labels, zero_tol)
+    _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, zero_tol)
     keyed = [*l1_trees.items(), *l1_cycles.items()]
     keyed += [(canonical_key(g), g) for g in l1_tailed + _specials() if g.rank <= max_n]
     _check_level([g for _, g in keyed], 1, zero_tol, "catalog graph {} is not level 1")
@@ -277,10 +269,6 @@ def enumerate_level1(
 # order.  nominate() expands batches into graphs; enumerate_level2 filters
 # them as label codes and builds graphs only for survivors.
 # ---------------------------------------------------------------------------
-
-
-def _labels(labels: Iterable[int]) -> list[EdgeLabel]:
-    return [EdgeLabel(m) for m in sorted(set(labels))]
 
 
 def _butterfly_edges() -> list[tuple[int, int]]:
@@ -368,38 +356,38 @@ def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[
         raise ValueError(f"unknown family {family!r}")
 
 
-def nominate(
-    family: Family,
-    level1: list[CoxeterGraph],
-    labels: Iterable[int] = ADMISSIBLE_LABELS,
-) -> Iterator[CoxeterGraph]:
+def nominate(family: Family, level1: list[CoxeterGraph]) -> Iterator[CoxeterGraph]:
     """Candidate stream for one family; no level filtering happens here.
 
     These are the graphs whose Gram matrices enumerate_level2 filters, in
     the same order; it builds a graph only for a candidate that passes.
     """
-    labs = _labels(labels)
     for base, pairs in _nomination_batches(family, level1):
-        for labeling in product(labs, repeat=len(pairs)):
+        for labeling in product(_LABELS, repeat=len(pairs)):
             yield _labeled(base, pairs, labeling)
 
 
-def _gram_stack(batches: list[Batch], labs: list[EdgeLabel]) -> np.ndarray:
-    """Gram matrices of every member of the batches (all of one rank), in order.
+def _checked(batches: list[Batch]) -> list[Batch]:
+    """The batches, once each one's first member is built as a graph.
 
-    Bitwise equal to the members' CoxeterGraph.gram.  Each batch's first
-    member is built as a graph, so a malformed free pair (out of range, a
-    self-loop, or a duplicate of a pair or of a base edge) raises GraphError.
-    The level-1 catalog decides its levels on these stacks; tests filter the
-    nomination stacks with a per-candidate eigvalsh filter as the reference
-    for _rank_survivors.
+    So a malformed free pair (out of range, a self-loop, or a duplicate of
+    a pair or of a base edge) raises GraphError.
     """
-    values = np.array([lab.gram_entry() for lab in labs])
     for base, pairs in batches:
-        _labeled(base, pairs, labs[:1] * len(pairs))
+        _labeled(base, pairs, _LABELS[:1] * len(pairs))
+    return batches
+
+
+def _gram_stack(batches: list[Batch]) -> np.ndarray:
+    """Gram matrices of every member of the _checked batches (all of one rank), in order.
+
+    Bitwise equal to the members' CoxeterGraph.gram.  The level-1 catalog
+    decides its levels on these stacks; tests filter the nomination stacks
+    with a per-candidate eigvalsh filter as the reference for _rank_survivors.
+    """
     return np.concatenate([
-        _member_grams(base.gram, pairs, _label_codes(len(pairs), len(labs)), values)
-        for base, pairs in batches
+        _member_grams(base.gram, pairs, _label_codes(len(pairs)))
+        for base, pairs in _checked(batches)
     ])
 
 
@@ -449,15 +437,15 @@ def _deletion_tables(base: CoxeterGraph, pairs, radix: int) -> _Tables:
     return _Tables(keeps, drop, codes, starts, inside)
 
 
-def _table_minors(batch: Batch, values: np.ndarray, table: _Tables, rows: slice) -> np.ndarray:
+def _table_minors(batch: Batch, table: _Tables, rows: slice) -> np.ndarray:
     """The Gram minors of a slice of a batch's table rows, bitwise the members' own."""
     base, pairs = batch
-    grams = _member_grams(base.gram, pairs, table.codes[rows], values)
+    grams = _member_grams(base.gram, pairs, table.codes[rows])
     keep = table.keeps[table.drop[rows]]
     return grams[np.arange(len(keep))[:, None, None], keep[:, :, None], keep[:, None, :]]
 
 
-def _rank_survivors(batches: list[Batch], values: np.ndarray, zero_tol: float) -> list[np.ndarray]:
+def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     """Label codes of the level-2 members of same-rank batches, one array per batch.
 
     Every two-vertex deletion must be positive semidefinite, and its minor
@@ -469,14 +457,14 @@ def _rank_survivors(batches: list[Batch], values: np.ndarray, zero_tol: float) -
     matrices of the members left; by interlacing, the full matrix then
     fails too and needs no test of its own.
     """
-    radix = len(values)
+    radix = len(_LABELS)
     tables = [_deletion_tables(base, pairs, radix) for base, pairs in batches]
     bounds = np.cumsum([0] + [len(table.drop) for table in tables])
     verdicts = []
     for lo in range(0, bounds[-1], _EIG_CHUNK):
         hi = lo + _EIG_CHUNK
         block = [
-            _table_minors(batch, values, table, slice(max(lo - start, 0), hi - start))
+            _table_minors(batch, table, slice(max(lo - start, 0), hi - start))
             for batch, table, start, end in zip(batches, tables, bounds, bounds[1:])
             if start < hi and end > lo
         ]
@@ -491,7 +479,7 @@ def _rank_survivors(batches: list[Batch], values: np.ndarray, zero_tol: float) -
             ok &= verdicts[start : start + shape.prod()].reshape(shape)
         left.append(np.argwhere(ok).astype(np.int8))
     grams = np.concatenate([
-        _member_grams(base.gram, pairs, codes, values) for (base, pairs), codes in zip(batches, left)
+        _member_grams(base.gram, pairs, codes) for (base, pairs), codes in zip(batches, left)
     ])
     fails = ~minors_psd(grams, 1, zero_tol)
     ends = np.cumsum([len(codes) for codes in left])
@@ -510,18 +498,9 @@ def _by_rank(graphs: list[CoxeterGraph], decide) -> np.ndarray:
 def _check_level(graphs: list[CoxeterGraph], r: int, zero_tol: float, message: str) -> None:
     """Raise InconsistencyError naming the first graph whose level is not r.
 
-    Decided as forms.level decides, on one Gram stack per rank: level(g) == r
-    when the deletion of r vertices leaves every minor positive semidefinite
-    and no deletion of j < r vertices does.
+    Decided by forms._levels, as forms.level decides, on one Gram stack per rank.
     """
-
-    def has_level(grams: np.ndarray) -> np.ndarray:
-        mask = minors_psd(grams, r, zero_tol)
-        for j in range(r):
-            mask &= ~minors_psd(grams, j, zero_tol)
-        return mask
-
-    bad = np.flatnonzero(~_by_rank(graphs, has_level))
+    bad = np.flatnonzero(~_by_rank(graphs, lambda grams: _levels(grams, zero_tol, r + 1) == r))
     if bad.size:
         raise InconsistencyError(message.format(to_compact(graphs[bad[0]])))
 
@@ -546,39 +525,28 @@ def _make_entry(g: CoxeterGraph, key: bytes, family: Family, strict: bool) -> Ce
 
 
 def _family_survivors(
-    family: Family,
-    level1: list[CoxeterGraph],
-    labs: list[EdgeLabel],
-    max_rank: int,
-    zero_tol: float,
+    family: Family, level1: list[CoxeterGraph], max_rank: int, zero_tol: float
 ) -> list[CoxeterGraph]:
     """Candidates of one family that pass recognition, in nomination order.
 
-    Candidates are filtered as label codes, the batches of each rank
-    together; only survivors become graphs.  Each batch's first member is
-    built as a graph, so a malformed free pair (out of range, a self-loop,
-    or a duplicate of a pair or of a base edge) raises GraphError.
+    Candidates are filtered as label codes, the _checked batches of each
+    rank together; only survivors become graphs.
     """
-    values = np.array([lab.gram_entry() for lab in labs])
-    batches = [b for b in _nomination_batches(family, level1) if 5 <= b[0].rank <= max_rank]
-    for base, pairs in batches:
-        _labeled(base, pairs, labs[:1] * len(pairs))
+    batches = _checked(
+        [b for b in _nomination_batches(family, level1) if 5 <= b[0].rank <= max_rank]
+    )
     codes: dict[int, np.ndarray] = {}
     for n in sorted({base.rank for base, _ in batches}):
         idx = [i for i, (base, _) in enumerate(batches) if base.rank == n]
-        codes.update(zip(idx, _rank_survivors([batches[i] for i in idx], values, zero_tol)))
+        codes.update(zip(idx, _rank_survivors([batches[i] for i in idx], zero_tol)))
     return [
-        _labeled(base, pairs, [labs[c] for c in row])
+        _labeled(base, pairs, [_LABELS[c] for c in row])
         for i, (base, pairs) in enumerate(batches)
         for row in codes[i]
     ]
 
 
-def enumerate_level2(
-    max_rank: int = 11,
-    labels: Iterable[int] = ADMISSIBLE_LABELS,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> list[CensusEntry]:
+def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> list[CensusEntry]:
     """All connected level-2 graphs on 5..max_rank vertices, sorted by key.
 
     Candidates come from the nomination families in declaration order; the
@@ -588,12 +556,9 @@ def enumerate_level2(
     """
     if not 5 <= max_rank <= 11:
         raise ValueError(f"max_rank must lie in 5..11, got {max_rank}")
-    level1 = enumerate_level1(min(10, max_rank - 1), labels, zero_tol)
-    labs = _labels(labels)
+    level1 = enumerate_level1(min(10, max_rank - 1), zero_tol)
     survivors = [
-        (family, g)
-        for family in Family
-        for g in _family_survivors(family, level1, labs, max_rank, zero_tol)
+        (family, g) for family in Family for g in _family_survivors(family, level1, max_rank, zero_tol)
     ]
     _check_level([g for _, g in survivors], 2, zero_tol, "recognition accepted {} but level != 2")
     firsts: dict[bytes, tuple[Family, CoxeterGraph]] = {}

@@ -192,10 +192,26 @@ def is_level_at_most(g: CoxeterGraph, r: int, zero_tol: float = DEFAULT_ZERO_TOL
 
 def level(g: CoxeterGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
     """Smallest r with is_level_at_most(g, r); rank-1 subgraphs make r = rank-1 suffice."""
-    for r in range(g.rank):
-        if is_level_at_most(g, r, zero_tol):
-            return r
-    raise AssertionError("unreachable: single vertices are positive definite")
+    return int(_levels(g.gram[None], zero_tol)[0])
+
+
+def _levels(grams, zero_tol: float, below: int | None = None) -> np.ndarray:
+    """level of each stacked Gram matrix, or `below` for one of level >= below.
+
+    r = 0, 1, ... is tried on the matrices still undecided, one minors_psd
+    call each, and a matrix's level is the first r at which it passes.
+    """
+    grams = np.asarray(grams, dtype=float)
+    stop = grams.shape[-1] if below is None else below
+    levels = np.full(len(grams), stop)
+    rest = np.arange(len(grams))
+    for r in range(stop):
+        if not rest.size:
+            break
+        ok = minors_psd(grams[rest], r, zero_tol)
+        levels[rest[ok]] = r
+        rest = rest[~ok]
+    return levels
 
 
 def fundamental_weights(b) -> tuple[np.ndarray, np.ndarray]:
@@ -207,10 +223,11 @@ def fundamental_weights(b) -> tuple[np.ndarray, np.ndarray]:
     """
     b = _check_gram(b)
     n = b.shape[0]
-    det = float(np.linalg.det(b))
+    sign, logdet = np.linalg.slogdet(b)
     scale = float(np.abs(b).max()) if b.size else 1.0
-    if abs(det) < _SINGULAR_RTOL * max(scale, 1.0) ** n:
-        raise SingularFormError(f"form is singular (|det| = {abs(det):.3e}); weights undefined")
+    # |det| < rtol * scale^n, compared in logs so that no power overflows
+    if sign == 0 or logdet < math.log(_SINGULAR_RTOL) + n * math.log(max(scale, 1.0)):
+        raise SingularFormError(f"form is singular (log|det| = {logdet:.3e}); weights undefined")
     w = np.linalg.inv(b)
     w = (w + w.T) / 2.0
     w.setflags(write=False)

@@ -25,7 +25,7 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeLabel:
-    """Label of one edge: finite bond order m >= 3, or infinity with weight c >= 1.
+    """Label of one edge: finite bond order m >= 3, or infinity with finite weight c >= 1.
 
     An infinite bond with c > 1 is a dotted edge in Vinberg's convention;
     c = 1 is an ordinary infinite bond.  The two kinds stay distinct even
@@ -40,8 +40,8 @@ class EdgeLabel:
             if not isinstance(self.c, (int, float)) or isinstance(self.c, bool):
                 raise GraphError(f"infinite label weight must be a number, got {self.c!r}")
             object.__setattr__(self, "c", float(self.c))
-            if not self.c >= 1.0:
-                raise GraphError(f"infinite label needs c >= 1, got {self.c}")
+            if not (math.isfinite(self.c) and self.c >= 1.0):
+                raise GraphError(f"infinite label needs a finite c >= 1, got {self.c}")
         else:
             if not isinstance(self.m, int) or isinstance(self.m, bool):
                 raise GraphError(f"finite label order must be an integer, got {self.m!r}")
@@ -49,10 +49,6 @@ class EdgeLabel:
                 raise GraphError(f"finite label needs m >= 3 (m = 2 is an absent edge), got {self.m}")
             if self.c != 1.0:
                 raise GraphError("weight c applies only to infinite labels")
-
-    @property
-    def infinite(self) -> bool:
-        return self.m is None
 
     @property
     def dotted(self) -> bool:
@@ -178,11 +174,6 @@ def _coerce_label(lab) -> EdgeLabel:
     if isinstance(lab, tuple) and len(lab) == 2 and lab[0] == "inf":
         return EdgeLabel(None, lab[1])
     raise GraphError(f"cannot interpret edge label {lab!r}")
-
-
-def gram_matrix(g: CoxeterGraph) -> np.ndarray:
-    """Symmetric rank x rank matrix: unit diagonal, -cos(pi/m) or -c off-diagonal."""
-    return g.gram
 
 
 def induced_subgraph(g: CoxeterGraph, keep) -> CoxeterGraph:

@@ -368,22 +368,14 @@ def limit_sample(
     b = g.gram
     if classify_gram(b, DEFAULT_ZERO_TOL) is not TypeClass.LORENTZIAN:
         raise NotLorentzianError("limit samples are defined for Lorentzian systems")
-
     if isinstance(source, RootSource):
-        if source.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {source.depth}")
-        start, sign = np.eye(g.rank), -1
-        count, what = source.depth, "root generation"
+        vectors, depths, _ = _root_columns(g, source.depth, max_records)
+        shell = vectors[depths == source.depth]
     elif isinstance(source, WeightSource):
-        if source.length < 0:
-            raise ValueError(f"length must be >= 0, got {source.length}")
-        start, sign = fundamental_weights(b)[0], +1
-        count, what = source.length + 1, "weight generation"
+        vectors, lengths, *_ = _weight_columns(g, source.length, max_records)
+        shell = vectors[lengths == source.length]
     else:
         raise TypeError(f"source must be RootSource or WeightSource, got {source!r}")
-
-    vectors, *_, layer = _walk(b, start, sign, count, max_records, what)
-    shell = vectors[layer == count - 1]
     coords, finite = projective_coords(shell)
     coords = _frozen(coords[finite])
     residual = float(np.abs(quadratic_form(b, coords)).max(initial=0.0))

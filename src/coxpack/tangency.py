@@ -20,11 +20,9 @@ from .forms import DEFAULT_ZERO_TOL, fundamental_weights, level, minors_psd
 from .graphs import CoxeterGraph
 from .orbits import (
     VectorClass,
-    WeightRecord,
     _descent_words,
     _frozen,
     _walk,
-    bilinear,
     classify_norm,
     spacelike_unit_rows,
 )
@@ -115,12 +113,6 @@ def classify_weight_norm(norm: float, level2: bool = False) -> VertexClass:
     return VertexClass.REAL
 
 
-def classify_vertex(omega: WeightRecord, b: np.ndarray) -> VertexClass:
-    """Imaginary for norm <= 0, surreal at norm 1, real in between."""
-    norm = bilinear(b, omega.vector, omega.vector)
-    return classify_weight_norm(norm)
-
-
 def _vertex_keys(b: np.ndarray, colors: np.ndarray, vectors: np.ndarray, steps: int) -> list:
     """Bytes of each weight row's color and canonical descent word, cut at `steps` letters.
 
@@ -134,7 +126,6 @@ def chambers_up_to_length(
     g: CoxeterGraph,
     max_length: int,
     max_records: int | None = None,
-    require_lorentzian: bool = True,
 ) -> CoxeterComplex:
     """One chamber per group element of length <= max_length, in order of length.
 
@@ -144,14 +135,11 @@ def chambers_up_to_length(
     is w.  A chamber's word is the canonical descent word of w rho, whose
     reflections multiply out to w in order.  Vertex ids follow first
     appearance.  adjacency[w][i] is the chamber of w s_i, if within max_length.
+    Any non-singular form will do; a singular one raises SingularFormError.
     """
-    from .forms import TypeClass, classify_gram
-
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
     b = g.gram
-    if require_lorentzian and classify_gram(b, DEFAULT_ZERO_TOL) is not TypeClass.LORENTZIAN:
-        raise LevelError("the chamber complex is built for Lorentzian systems")
     n = g.rank
     fund, fund_norms = fundamental_weights(b)
 
@@ -275,12 +263,12 @@ def tangency_graph(
     return TangencyGraph(verts, tuple(TangencyEdge(u, v, tag) for u, v, tag in edges), max_length)
 
 
-def geometric_oracle(weights, b: np.ndarray, tol: float = _TANGENCY_TOL) -> set[tuple[int, int]]:
+def geometric_oracle(weights, b: np.ndarray) -> set[tuple[int, int]]:
     """All index pairs of space-like weights whose separation is 1, found directly."""
     unit, idx = spacelike_unit_rows(weights)
     if len(idx) < 2:
         return set()
-    hit = np.abs(unit @ b @ unit.T + 1.0) <= tol
+    hit = np.abs(unit @ b @ unit.T + 1.0) <= _TANGENCY_TOL
     rows, cols = np.nonzero(np.triu(hit, 1))
     return {(idx[a], idx[c]) for a, c in zip(rows.tolist(), cols.tolist())}
 

@@ -209,8 +209,8 @@ def test_validate_cluster_pairs_match_reference(fig1b):
     """
     ws = spacelike_weights(fig1b, 7)
     ws += ws[::700]
-    tol = 1e-9
-    report = cp.validate_cluster(ws, fig1b.gram, tol)
+    tol = 1e-9  # balls._ALGEBRAIC_TOL
+    report = cp.validate_cluster(ws, fig1b.gram)
     i, j, seps = ref.separations(ws, fig1b.gram)
     low = seps < 1.0 - tol
     want = sorted(zip(i[low].tolist(), j[low].tolist(), seps[low].tolist()))

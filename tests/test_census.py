@@ -26,7 +26,6 @@ from coxpack.census import (
     _is_tree,
     _joined,
     _labeled,
-    _labels,
     _leaves,
     _nomination_batches,
     _rank_survivors,
@@ -158,7 +157,7 @@ def test_catalog_matches_per_candidate_reference(level1, tol):
 
     l0_trees, *rest = _reference_catalog(10, ADMISSIBLE_LABELS, tol)
     want = [*l0_trees.values(), *rest]
-    l0_trees, l1_trees, l1_cycles, l1_tailed = _catalog_level01(10, ADMISSIBLE_LABELS, tol)
+    l0_trees, l1_trees, l1_cycles, l1_tailed = _catalog_level01(10, tol)
     # the level-1 trees and cycles come keyed by their own canonical keys
     for keyed in (l1_trees, l1_cycles):
         assert list(keyed) == [cp.canonical_key(g) for g in keyed.values()]
@@ -172,8 +171,6 @@ def test_catalog_matches_per_candidate_reference(level1, tol):
 def test_enumerate_level1_validation():
     with pytest.raises(ValueError):
         enumerate_level1(11)
-    with pytest.raises(ValueError):
-        enumerate_level1(10, labels=(3, 4, 5, 6, 7))
 
 
 @pytest.mark.parametrize("kwargs", [{"max_rank": 4}, {"max_rank": 12}])
@@ -209,7 +206,6 @@ def test_nominate_tree_count(level1):
 def test_gram_stacks_match_nominate(level1_5, family):
     """The batches' Gram stacks are the candidates' Gram matrices, bitwise and in order,
     and the memoized survivors are the reference filter's at every tolerance."""
-    labs = _labels(ADMISSIBLE_LABELS)
     batches = list(_nomination_batches(family, level1_5))
     graphs = [g for g in nominate(family, level1_5) if 5 <= g.rank <= 6]
     for n in (5, 6):
@@ -218,12 +214,12 @@ def test_gram_stacks_match_nominate(level1_5, family):
         if not group:
             assert not want
             continue
-        got = _gram_stack(group, labs)
+        got = _gram_stack(group)
         assert got.shape == (len(want), n, n)
         assert got.tobytes() == np.stack(want).tobytes()
     # survivors are rebuilt as the same graphs, in the same order
     for tol in TOLS:
-        assert _family_survivors(family, level1_5, labs, 6, tol) == filter_level2(graphs, tol)
+        assert _family_survivors(family, level1_5, 6, tol) == filter_level2(graphs, tol)
 
 
 @st.composite
@@ -246,18 +242,17 @@ def test_batch_survivors_match_reference_filter(data):
     boundaries, keep the members the per-candidate filter keeps, at every tolerance."""
     n = data.draw(st.integers(5, 8), label="rank")
     batches = data.draw(st.lists(batches_of_rank(n), min_size=2, max_size=4), label="batches")
-    labs = _labels(ADMISSIBLE_LABELS)
-    values = np.array([lab.gram_entry() for lab in labs])
-    rows = sum(len(_deletion_tables(base, pairs, len(labs))[1]) for base, pairs in batches)
+    radix = len(ADMISSIBLE_LABELS)
+    rows = sum(len(_deletion_tables(base, pairs, radix)[1]) for base, pairs in batches)
     chunk = data.draw(st.integers(1, rows - 1), label="block rows")
-    grams = _gram_stack(batches, labs)
-    first = np.cumsum([0] + [len(labs) ** len(pairs) for _, pairs in batches])
+    grams = _gram_stack(batches)
+    first = np.cumsum([0] + [radix ** len(pairs) for _, pairs in batches])
     for tol in TOLS:
         with mock.patch.object(census, "_EIG_CHUNK", chunk):
-            got = _rank_survivors(batches, values, tol)
+            got = _rank_survivors(batches, tol)
         assert all(codes.dtype == np.int8 for codes in got)
         members = [
-            lo + codes @ len(labs) ** np.arange(len(pairs))[::-1]
+            lo + codes @ radix ** np.arange(len(pairs))[::-1]
             for lo, codes, (_, pairs) in zip(first, got, batches)
         ]
         want = filter_level2_arrays(grams, tol)
@@ -278,15 +273,13 @@ def test_empty_batch_sends_no_rows_to_one_vertex_stage(monkeypatch):
     four = cp.EdgeLabel(4)
     empty = (cp.CoxeterGraph(5, ((2, 3, four), (2, 4, four), (3, 4, four))), ((0, 1), (0, 2)))
     live = _joined(_specials()[0], 0, 1)
-    labs = _labels(ADMISSIBLE_LABELS)
-    values = np.array([lab.gram_entry() for lab in labs])
-    left = int(minors_psd(_gram_stack([live], labs), 2, 1e-3).sum())
+    left = int(minors_psd(_gram_stack([live]), 2, 1e-3).sum())
     assert left
 
     monkeypatch.setattr(census, "minors_psd", counting)
     for batches in ([empty], [empty, live], [live, empty]):
         sent.clear()
-        got = _rank_survivors(batches, values, 1e-3)
+        got = _rank_survivors(batches, 1e-3)
         assert [codes.shape for codes, b in zip(got, batches) if b is empty] == [(0, 2)]
         ones = [size for k, size in sent if k == 1]
         assert ones == [0 if batches == [empty] else left]
@@ -364,7 +357,7 @@ def test_nomination_counts_at_rank11(level1):
 def test_gram_stack_rejects_malformed_batch(pairs):
     base = cp.CoxeterGraph(5, ((0, 1, cp.EdgeLabel(3)),))
     with pytest.raises(cp.GraphError):
-        _gram_stack([(base, pairs)], _labels(ADMISSIBLE_LABELS))
+        _gram_stack([(base, pairs)])
 
 
 def test_census_builds_graphs_only_for_survivors(monkeypatch, level1_5):

@@ -35,9 +35,9 @@ def reference_vertices(b, bfs):
     return store, vertices, incidence
 
 
-def assert_matches_bfs(g, length, require_lorentzian=True):
+def assert_matches_bfs(g, length):
     b, n = g.gram, g.rank
-    cx = chambers_up_to_length(g, length, require_lorentzian=require_lorentzian)
+    cx = chambers_up_to_length(g, length)
     bfs = GroupBFS(b, length)
     assert Counter(len(ch.word) for ch in cx.chambers) == Counter(bfs.lengths)
     assert [len(ch.word) for ch in cx.chambers] == sorted(len(ch.word) for ch in cx.chambers)
@@ -88,9 +88,20 @@ def test_fig1a_matches_bfs(fig1a):
     assert_matches_bfs(fig1a, 6)
 
 
-def test_finite_a2_matches_bfs():
-    cx = assert_matches_bfs(cp.path_graph([3]), 12, require_lorentzian=False)
-    assert len(cx.chambers) == 6
+@pytest.mark.parametrize(
+    "g, length, chambers",
+    [
+        (cp.path_graph([3]), 12, 6),  # A2
+        (cp.path_graph([4, 3]), 12, 48),  # B3
+        (cp.path_graph([5, 3]), 16, 120),  # H3
+        # two disjoint dotted bonds: signature (2, 0, 2), neither finite nor Lorentzian
+        (cp.CoxeterGraph(4, ((0, 1, cp.EdgeLabel(None, 1.5)), (2, 3, cp.EdgeLabel(None, 1.5)))), 5, 61),
+    ],
+    ids=["A2", "B3", "H3", "two_dotted"],
+)
+def test_non_lorentzian_matches_bfs(g, length, chambers):
+    cx = assert_matches_bfs(g, length)
+    assert len(cx.chambers) == chambers
 
 
 def test_census_sample_matches_bfs(census_sample_10):

@@ -242,6 +242,36 @@ def test_weights_singular_exits_2(graph_file, capsys):
     assert code == 2 and "singular" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["n=2; 0-1:inf(inf)", '{"rank": 2, "edges": [{"u": 0, "v": 1, "m": "inf", "c": 1e400}]}'],
+    ids=["compact", "json"],
+)
+def test_infinite_weight_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 2 and "parse error" in err and not out
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n=3; 0-1:inf(1e150) 1-2:3", "n=11; 0-1:inf(1e30) " + " ".join(f"{i}-{i + 1}:3" for i in range(1, 10))],
+    ids=["rank3", "rank11"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["weights", "--length", "2"], ["tangency", "--length", "2"]],
+    ids=["classify", "weights", "tangency"],
+)
+def test_huge_weight_exit_code_is_not_1(tmp_path, capsys, text, argv):
+    """max|B|^n overflows a float here; the singularity test must not."""
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, _, _ = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code != 1
+
+
 def test_pack_non_lorentzian_exits_2(graph_file, capsys):
     code, _, _ = run(capsys, ["pack", graph_file(cp.path_graph([3, 3, 3])), "--length", "2"])
     assert code == 2

@@ -26,6 +26,9 @@ def test_edge_label_validation():
         cp.EdgeLabel(2)
     with pytest.raises(GraphError):
         cp.EdgeLabel(None, 0.9)
+    for c in (math.inf, math.nan):
+        with pytest.raises(GraphError):
+            cp.EdgeLabel(None, c)
     with pytest.raises(GraphError):
         cp.EdgeLabel(3, 1.5)
 
@@ -69,6 +72,8 @@ def test_parse_graph_examples():
         cp.parse_graph('{"rank": 3, "edges": [{"u": 0, "v": 1, "m": 2}]}')
     with pytest.raises(GraphError):
         cp.parse_graph('{"rank": 3, "edges": [{"u": 0, "v": 1, "m": "inf", "c": 0.5}]}')
+    with pytest.raises(GraphError):  # json reads 1e400 as inf
+        cp.parse_graph('{"rank": 3, "edges": [{"u": 0, "v": 1, "m": "inf", "c": 1e400}]}')
     with pytest.raises(GraphError):
         cp.parse_graph('{"rank": 3, "edges": [{"u": 0, "v": 3, "m": 3}]}')
     with pytest.raises(GraphError):
@@ -96,10 +101,12 @@ def test_compact_form():
         cp.parse_compact("0-1:4")
     with pytest.raises(GraphError):
         cp.parse_compact("n=4; 0-1:bogus")
+    with pytest.raises(GraphError):
+        cp.parse_compact("n=2; 0-1:inf(inf)")
 
 
 def test_gram_matrix_examples(universal4, fig1b):
-    b = cp.gram_matrix(cp.path_graph([3]))
+    b = cp.path_graph([3]).gram
     assert b[0, 1] == pytest.approx(-0.5)
     # all infinite bonds with weight 1: 2I - J
     n = 4

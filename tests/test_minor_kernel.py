@@ -84,6 +84,8 @@ def test_kernel_matches_reference(batch, tol, chunk):
                 assert is_strict_level2(g, tol) == ref_is_strict_level2(g, tol)
             levels.append(lv)
         grams = np.stack([g.gram for g in batch])
+        assert forms._levels(grams, tol).tolist() == levels
+        assert forms._levels(grams, tol, below=2).tolist() == [min(lv, 2) for lv in levels]
         survivors = filter_level2_arrays(grams, tol)
     assert sorted(survivors.tolist()) == [i for i, lv in enumerate(levels) if lv == 2]
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import coxpack as cp
-from coxpack.orbits import OrbitCapError, VectorClass, WeightRecord
+from coxpack.orbits import OrbitCapError, VectorClass, WeightRecord, bilinear
 from coxpack.tangency import (
     LevelError,
     VertexClass,
     chambers_up_to_length,
-    classify_vertex,
+    classify_weight_norm,
     geometric_oracle,
     is_strict_level2,
     tangency_graph,
@@ -44,8 +44,13 @@ def test_chambers_identity_only(universal4):
 
 def test_chambers_finite_dihedral_stabilize():
     g = cp.path_graph([3])
-    cx = chambers_up_to_length(g, 12, require_lorentzian=False)
+    cx = chambers_up_to_length(g, 12)
     assert len(cx.chambers) == 6
+
+
+def test_chambers_singular_form_raises():
+    with pytest.raises(cp.SingularFormError):
+        chambers_up_to_length(cp.cycle_graph([3, 3, 3]), 2)  # affine A~2
 
 
 def test_chambers_one_step(universal4, fig1a):
@@ -59,6 +64,10 @@ def test_chamber_vertices_one_per_color(fig1a):
     for ch in cx.chambers:
         colors = sorted(cx.vertices[vid].color for vid in ch.vertices)
         assert colors == list(range(fig1a.rank))
+
+
+def classify_vertex(omega, b):
+    return classify_weight_norm(bilinear(b, omega.vector, omega.vector))
 
 
 def test_classify_vertex(universal4):
