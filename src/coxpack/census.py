@@ -7,18 +7,22 @@ vertex pairs, standing for every labeling of those pairs, so a candidate is
 a row of label codes and a CoxeterGraph is built only for the candidates
 that pass numeric level recognition (about 890 of 380k at rank 11).
 
-Recognition decides each minor once.  A graph has level 2 when every
-two-vertex deletion is finite or affine (its Gram minor is positive
-semidefinite) and some one-vertex deletion is not; a principal submatrix of
-a positive semidefinite matrix is positive semidefinite (Cauchy
-interlacing), so the full matrix then fails too and needs no test of its
-own.  The minor a two-vertex deletion keeps depends only on the labels of
-the free pairs inside it, so each deletion of each batch has a table of
-those sub-labelings, and every candidate reads its verdict by mixed-radix
-code; a table row is bitwise the candidate's own minor, so the verdicts are
-exactly those of a per-candidate filter.  The tables of all batches of one
-family and rank are decided together, in blocks of rows, and the one-vertex
-deletions then in one stack for the candidates left.  The level-1 catalog
+Recognition decides each minor at most once, and only when a live
+candidate reads it.  A graph has level 2 when every two-vertex deletion is
+finite or affine (its Gram minor is positive semidefinite) and some
+one-vertex deletion is not; a principal submatrix of a positive
+semidefinite matrix is positive semidefinite (Cauchy interlacing), so the
+full matrix then fails too and needs no test of its own.  The minor a
+two-vertex deletion keeps depends only on the labels of the free pairs
+inside it, so each deletion of each batch has a table of those
+sub-labelings, and every candidate reads its verdict by mixed-radix code; a
+table row is bitwise the candidate's own minor, so the verdicts are exactly
+those of a per-candidate filter.  The tables of all batches of one family
+and rank are decided in waves of increasing inside-pair count, each wave in
+blocks of rows, and a wave decides only the rows that some candidate still
+alive reads: a candidate that fails a small table costs no row of a larger
+one.  The one-vertex deletions are then decided in one stack for the
+candidates left.  The level-1 catalog
 decides levels 0 and 1 on Gram stacks and keys only the graphs it keeps;
 level is invariant under isomorphism, so the first representative of each
 kept class is unchanged.  Every survivor is verified to have level 2 from
@@ -33,7 +37,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -107,22 +111,32 @@ def _labeled(base: CoxeterGraph, pairs, labeling) -> CoxeterGraph:
     )
 
 
-def _label_codes(k: int) -> np.ndarray:
-    """Every labeling of k free pairs as a row of label codes, in product order."""
-    radix = len(_LABELS)
-    return np.indices((radix,) * k, dtype=np.int8).reshape(k, radix**k).T
+def _label_codes(k: int, width: int) -> np.ndarray:
+    """Every labeling of k free pairs as a row of label codes, in product order,
+    padded with code 0 to width columns."""
+    shape = (len(_LABELS),) * k + (1,) * (width - k)
+    return np.indices(shape, dtype=np.int8).reshape(width, -1).T
 
 
-def _member_grams(gram: np.ndarray, pairs, codes: np.ndarray) -> np.ndarray:
-    """One Gram matrix per row of codes, giving free pair i the label _LABELS[row[i]].
+def _padded(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Same-rank batches as arrays, padded to their largest free-pair count.
 
-    gram is the base's Gram matrix (zero at the free pairs); each result
-    equals the member's CoxeterGraph.gram bitwise.
+    Batch b has the base Gram matrix grams[b] (zero at its free pairs) and
+    free pair p at the vertices uv[b, p] where free[b, p] holds.
     """
-    stack = np.repeat(gram[None], len(codes), axis=0)
-    if len(pairs):
-        u, v = np.array(pairs).T
-        stack[:, u, v] = stack[:, v, u] = _VALUES[codes]
+    sizes = np.array([len(pairs) for _, pairs in batches])
+    free = np.arange(sizes.max()) < sizes[:, None]
+    uv = np.zeros(free.shape + (2,), dtype=int)
+    uv[free] = np.array([p for _, pairs in batches for p in pairs], dtype=int).reshape(-1, 2)
+    return np.stack([base.gram for base, _ in batches]), uv, free
+
+
+def _set_labels(stack: np.ndarray, at: np.ndarray, mask: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Write the Gram entry of label code codes[i, p] into stack[i] at the
+    symmetric places at[i, p] wherever mask[i, p] holds; returns the stack."""
+    i, p = np.nonzero(mask)
+    x, y = at[i, p].T
+    stack[i, x, y] = stack[i, y, x] = _VALUES[codes[i, p]]
     return stack
 
 
@@ -385,10 +399,10 @@ def _gram_stack(batches: list[Batch]) -> np.ndarray:
     decides its levels on these stacks; tests filter the nomination stacks
     with a per-candidate eigvalsh filter as the reference for _rank_survivors.
     """
-    return np.concatenate([
-        _member_grams(base.gram, pairs, _label_codes(len(pairs)))
-        for base, pairs in _checked(batches)
-    ])
+    grams, uv, free = _padded(_checked(batches))
+    b = np.repeat(np.arange(len(batches)), len(_LABELS) ** free.sum(axis=1))
+    codes = np.concatenate([_label_codes(len(pairs), free.shape[1]) for _, pairs in batches])
+    return _set_labels(grams[b], uv[b], free[b], codes)
 
 
 # ---------------------------------------------------------------------------
@@ -401,89 +415,81 @@ def _gram_stack(batches: list[Batch]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _Tables(NamedTuple):
-    """The two-vertex-deletion tables of a batch, one row per sub-labeling.
-
-    Deletion d keeps the vertices keeps[d], and the free pairs inside[d] lie
-    within them.  Row i belongs to deletion drop[i] and labels the free
-    pairs codes[i]: deletion d's table starts at row starts[d] and runs over
-    the labelings of its inside pairs in product order, with code 0 on the
-    pairs it drops.  Its verdicts, shaped radix along each inside pair and
-    1 along the others, broadcast to the verdicts of all batch members.
-    """
-
-    keeps: np.ndarray
-    drop: np.ndarray
-    codes: np.ndarray
-    starts: np.ndarray
-    inside: np.ndarray
-
-
-def _deletion_tables(base: CoxeterGraph, pairs, radix: int) -> _Tables:
-    """Every two-vertex deletion's table of a batch, built as whole arrays."""
-    n = base.rank
-    keeps = np.array(list(combinations(range(n), n - 2)))
-    kept = np.zeros((len(keeps), n), dtype=bool)
-    kept[np.arange(len(keeps))[:, None], keeps] = True
-    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
-    inside = kept[:, u] & kept[:, v]
-    # mixed-radix place value of each inside pair, the first one most significant
-    place = radix ** (np.cumsum(inside[:, ::-1], axis=1)[:, ::-1] - inside)
-    sizes = radix ** inside.sum(axis=1)
-    starts = np.cumsum(sizes) - sizes
-    drop = np.repeat(np.arange(len(keeps)), sizes)
-    row = np.arange(len(drop)) - starts[drop]
-    codes = (row[:, None] // place[drop] % radix * inside[drop]).astype(np.int8)
-    return _Tables(keeps, drop, codes, starts, inside)
-
-
-def _table_minors(batch: Batch, table: _Tables, rows: slice) -> np.ndarray:
-    """The Gram minors of a slice of a batch's table rows, bitwise the members' own."""
-    base, pairs = batch
-    grams = _member_grams(base.gram, pairs, table.codes[rows])
-    keep = table.keeps[table.drop[rows]]
-    return grams[np.arange(len(keep))[:, None, None], keep[:, :, None], keep[:, None, :]]
-
-
 def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     """Label codes of the level-2 members of same-rank batches, one array per batch.
 
     Every two-vertex deletion must be positive semidefinite, and its minor
-    depends only on the labels of the free pairs it keeps.  So the tables
-    of every deletion of every batch are decided once, _EIG_CHUNK rows per
-    minors_psd call across batch boundaries, and each member reads its
-    verdict in each table by its labels of the pairs inside.  Some
+    depends only on the labels of the free pairs inside it, so each
+    deletion of a batch has a table with one row per labeling of those
+    pairs.  The members of the batches with k free pairs are one boolean
+    array ok, shaped (batch, radix, ..., radix), and read a deletion's
+    table by mixed-radix code: its verdicts broadcast along the pairs
+    outside.  Tables are decided in waves of increasing inside-pair count,
+    and a wave decides only the rows some member still alive reads, in
+    blocks of _EIG_CHUNK rows across batches and deletions.  A member dies
+    at a failing row; the rows it alone would read are never decided.  Some
     one-vertex deletion must then fail, decided in one call on the Gram
     matrices of the members left; by interlacing, the full matrix then
     fails too and needs no test of its own.
     """
     radix = len(_LABELS)
-    tables = [_deletion_tables(base, pairs, radix) for base, pairs in batches]
-    bounds = np.cumsum([0] + [len(table.drop) for table in tables])
-    verdicts = []
-    for lo in range(0, bounds[-1], _EIG_CHUNK):
-        hi = lo + _EIG_CHUNK
-        block = [
-            _table_minors(batch, table, slice(max(lo - start, 0), hi - start))
-            for batch, table, start, end in zip(batches, tables, bounds, bounds[1:])
-            if start < hi and end > lo
-        ]
-        verdicts.append(minors_psd(np.concatenate(block), 0, zero_tol))
-    verdicts = np.concatenate(verdicts)
+    grams, uv, free = _padded(batches)
+    n, width = grams.shape[-1], free.shape[1]
+    keeps = np.array(list(combinations(range(n), n - 2)))
+    kept = np.zeros((len(keeps), n), dtype=bool)
+    kept[np.arange(len(keeps))[:, None], keeps] = True
+    # by (batch, deletion, free pair): whether the pair is inside, and its place in the minor
+    inside = kept[:, uv].all(axis=-1).transpose(1, 0, 2) & free[:, None]
+    at = (np.cumsum(kept, axis=1) - 1)[:, uv].transpose(1, 0, 2, 3)
+    masks = inside @ (1 << np.arange(width))
+    counts = inside.sum(axis=-1)
+    sizes = free.sum(axis=1)
+    groups = {k: np.flatnonzero(sizes == k) for k in np.unique(sizes).tolist()}
+    ok = {k: np.ones((len(idx),) + (radix,) * k, dtype=bool) for k, idx in groups.items()}
+    for c in range(width + 1):
+        # wave c: each deletion with c pairs inside, each row a live member reads
+        rows, reads = [], []
+        for k, idx in groups.items():
+            wave = np.where(counts[idx] == c, masks[idx], -1)
+            for mask in np.unique(wave[wave >= 0]).tolist():
+                axes = [a for a in range(k) if mask >> a & 1]
+                outside = tuple(a + 1 for a in range(k) if not mask >> a & 1)
+                eb, ed = np.nonzero(wave == mask)
+                e, *digits = np.nonzero(ok[k].any(axis=outside)[eb])
+                codes = np.zeros((len(e), width), dtype=np.int8)
+                codes[:, axes] = np.array(digits, dtype=np.int8).reshape(c, len(e)).T
+                rows.append((idx[eb[e]], ed[e], codes))
+                reads.append((k, outside, (eb[e], *digits)))
+        if not rows:
+            continue
+        b, d, codes = (np.concatenate(col) for col in zip(*rows))
+        verdicts = [np.ones(0, dtype=bool)]
+        for lo in range(0, len(b), _EIG_CHUNK):
+            bb, dd = b[lo : lo + _EIG_CHUNK], d[lo : lo + _EIG_CHUNK]
+            keep = keeps[dd]
+            minors = grams[bb[:, None, None], keep[:, :, None], keep[:, None, :]]
+            _set_labels(minors, at[bb, dd], inside[bb, dd], codes[lo : lo + _EIG_CHUNK])
+            verdicts.append(minors_psd(minors, 0, zero_tol))
+        # a member reading a failing row dies
+        fails = ~np.concatenate(verdicts)
+        ends = np.cumsum([len(row[0]) for row in rows])
+        for (k, outside, where), failed in zip(reads, np.split(fails, ends[:-1])):
+            bad = np.zeros((len(groups[k]),) + (radix,) * (k - len(outside)), dtype=bool)
+            bad[tuple(w[failed] for w in where)] = True
+            ok[k] &= ~np.expand_dims(bad, outside)
 
-    left = []
-    for (_, pairs), table, lo in zip(batches, tables, bounds):
-        ok = np.ones((radix,) * len(pairs), dtype=bool)
-        for start, inside in zip(lo + table.starts, table.inside):
-            shape = np.where(inside, radix, 1)
-            ok &= verdicts[start : start + shape.prod()].reshape(shape)
-        left.append(np.argwhere(ok).astype(np.int8))
-    grams = np.concatenate([
-        _member_grams(base.gram, pairs, codes) for (base, pairs), codes in zip(batches, left)
-    ])
-    fails = ~minors_psd(grams, 1, zero_tol)
-    ends = np.cumsum([len(codes) for codes in left])
-    return [codes[ok] for codes, ok in zip(left, np.split(fails, ends[:-1]))]
+    # the members left, in batch order, to the one-vertex stage
+    found = {k: np.argwhere(alive) for k, alive in ok.items()}
+    b = np.concatenate([groups[k][where[:, 0]] for k, where in found.items()])
+    codes = np.concatenate(
+        [np.pad(where[:, 1:], ((0, 0), (0, width - k))) for k, where in found.items()]
+    ).astype(np.int8)
+    order = np.argsort(b, kind="stable")
+    b, codes = b[order], codes[order]
+    fails = ~minors_psd(_set_labels(grams[b], uv[b], free[b], codes), 1, zero_tol)
+    b, codes = b[fails], codes[fails]
+    ends = np.searchsorted(b, np.arange(1, len(batches)))
+    return [left[:, :k] for left, k in zip(np.split(codes, ends), sizes)]
 
 
 def _by_rank(graphs: list[CoxeterGraph], decide) -> np.ndarray:

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import CoxeterGraph
+from .graphs import CoxeterGraph, GraphError
 
 DEFAULT_ZERO_TOL = 1e-3
 _SYMMETRY_TOL = 1e-12
@@ -63,10 +63,29 @@ def _check_tol(zero_tol: float) -> None:
         raise ValueError(f"zero_tol must be finite and positive, got {zero_tol}")
 
 
+def _check_resolvable(b: np.ndarray, zero_tol: float) -> None:
+    """Raise GraphError when the eigenvalues of b are too coarse to compare with zero_tol.
+
+    A symmetric eigensolver's absolute error is about n * eps * max|b|
+    (Golub and Van Loan, Matrix Computations, section 8.1); once that bound
+    reaches zero_tol, a sign decision at zero_tol is noise.
+    """
+    bound = b.shape[-1] * np.finfo(float).eps * (float(np.abs(b).max()) if b.size else 0.0)
+    if bound >= zero_tol:
+        raise GraphError(
+            f"eigenvalue roundoff bound n*eps*max|B| = {bound:.3e} reaches the zero "
+            f"tolerance {zero_tol:g}; the form's signature cannot be decided"
+        )
+
+
 def signature(b, zero_tol: float = DEFAULT_ZERO_TOL) -> Signature:
-    """Eigenvalue sign counts of a symmetric matrix, with |lambda| <= zero_tol as zero."""
+    """Eigenvalue sign counts of a symmetric matrix, with |lambda| <= zero_tol as zero.
+
+    Raises GraphError when eigvalsh's roundoff reaches zero_tol.
+    """
     _check_tol(zero_tol)
     b = _check_gram(b)
+    _check_resolvable(b, zero_tol)
     w = np.linalg.eigvalsh(b)
     n_minus = int(np.sum(w < -zero_tol))
     n_plus = int(np.sum(w > zero_tol))
@@ -191,7 +210,12 @@ def is_level_at_most(g: CoxeterGraph, r: int, zero_tol: float = DEFAULT_ZERO_TOL
 
 
 def level(g: CoxeterGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
-    """Smallest r with is_level_at_most(g, r); rank-1 subgraphs make r = rank-1 suffice."""
+    """Smallest r with is_level_at_most(g, r); rank-1 subgraphs make r = rank-1 suffice.
+
+    Raises GraphError when eigvalsh's roundoff on the Gram matrix reaches zero_tol.
+    """
+    _check_tol(zero_tol)
+    _check_resolvable(g.gram, zero_tol)
     return int(_levels(g.gram[None], zero_tol)[0])
 
 

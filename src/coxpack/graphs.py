@@ -397,18 +397,18 @@ def parse_compact(text: str) -> CoxeterGraph:
         except ValueError:
             raise GraphError(f"bad edge token {tok!r}") from None
         if spec == "inf":
-            lab = EdgeLabel(None, 1.0)
+            m, c = None, 1.0
         elif spec.startswith("inf(") and spec.endswith(")"):
             try:
-                lab = EdgeLabel(None, float(spec[4:-1]))
+                m, c = None, float(spec[4:-1])
             except ValueError:
                 raise GraphError(f"bad weight in {tok!r}") from None
         else:
             try:
-                lab = EdgeLabel(int(spec))
+                m, c = int(spec), 1.0
             except ValueError:
                 raise GraphError(f"bad label in {tok!r}") from None
-        edges.append((u, v, lab))
+        edges.append((u, v, EdgeLabel(m, c)))
     return CoxeterGraph(rank, tuple(edges))
 
 

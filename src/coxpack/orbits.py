@@ -273,11 +273,25 @@ def roots_up_to_depth(
     ]
 
 
+_LIGHT_RTOL = 1e-9  # a norm within this of zero, relative to max(1, |reference|), is light-like
+
+
 def classify_norm(norm: float, reference_norm: float) -> VectorClass:
-    thr = 1e-9 * max(1.0, abs(reference_norm))
+    thr = _LIGHT_RTOL * max(1.0, abs(reference_norm))
     if abs(norm) <= thr:
         return VectorClass.LIGHT_LIKE
     return VectorClass.SPACE_LIKE if norm > 0 else VectorClass.TIME_LIKE
+
+
+_CLASSES = np.array(
+    [VectorClass.LIGHT_LIKE, VectorClass.SPACE_LIKE, VectorClass.TIME_LIKE], dtype=object
+)
+
+
+def _classify_norms(norms: np.ndarray, reference_norms: np.ndarray) -> np.ndarray:
+    """classify_norm of each norm against its reference, as an object array."""
+    light = np.abs(norms) <= _LIGHT_RTOL * np.maximum(1.0, np.abs(reference_norms))
+    return _CLASSES[np.where(light, 0, np.where(norms > 0, 1, 2))]
 
 
 def _weight_columns(
@@ -293,11 +307,7 @@ def _weight_columns(
     fund, fund_norms = fundamental_weights(b)
     vectors, colors, *_, lengths = _walk(b, fund, +1, length + 1, max_records, "weight generation")
     norms = quadratic_form(b, vectors)
-    classes = np.array(
-        [classify_norm(n, r) for n, r in zip(norms.tolist(), fund_norms[colors].tolist())],
-        dtype=object,
-    )
-    return vectors, lengths, colors, norms, classes
+    return vectors, lengths, colors, norms, _classify_norms(norms, fund_norms[colors])
 
 
 def weights_up_to_length(

@@ -17,7 +17,6 @@ from coxpack.census import (
     ADMISSIBLE_LABELS,
     Family,
     _catalog_level01,
-    _deletion_tables,
     _family_survivors,
     _gram_stack,
     _is_cycle,
@@ -223,10 +222,10 @@ def test_gram_stacks_match_nominate(level1_5, family):
 
 
 @st.composite
-def batches_of_rank(draw, n):
+def batches_of_rank(draw, n, max_pairs=5, min_pairs=1):
     """A batch on n vertices: a few free pairs over a base with some fixed edges."""
     pairs = list(combinations(range(n), 2))
-    free = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
+    free = draw(st.lists(st.sampled_from(pairs), min_size=min_pairs, max_size=max_pairs, unique=True))
     free = tuple(p if draw(st.booleans()) else p[::-1] for p in free)
     rest = [p for p in pairs if p not in free and p[::-1] not in free]
     fixed = draw(st.lists(st.sampled_from(rest), max_size=n, unique=True))
@@ -235,22 +234,47 @@ def batches_of_rank(draw, n):
     return cp.CoxeterGraph(n, tuple((u, v, cp.EdgeLabel(m)) for (u, v), m in zip(fixed, marks))), free
 
 
+def table_rows(batches) -> int:
+    """Rows of every two-vertex deletion's table: radix ** (free pairs it keeps)."""
+    n = batches[0][0].rank
+    return sum(
+        len(ADMISSIBLE_LABELS) ** sum(u in keep and v in keep for u, v in pairs)
+        for _, pairs in batches
+        for keep in map(set, combinations(range(n), n - 2))
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batch_survivors_match_reference_filter(data):
-    """Batches of one rank decided together, in table blocks that cross batch
-    boundaries, keep the members the per-candidate filter keeps, at every tolerance."""
+    """Batches of one rank with mixed free-pair counts, decided together in
+    waves and in table blocks that cross batch boundaries, keep the members
+    the per-candidate filter keeps, at every tolerance.  A batch of 6
+    free pairs has members that die early, so later waves skip their rows."""
     n = data.draw(st.integers(5, 8), label="rank")
     batches = data.draw(st.lists(batches_of_rank(n), min_size=2, max_size=4), label="batches")
+    if data.draw(st.booleans(), label="big batch"):
+        big = data.draw(batches_of_rank(n, max_pairs=6, min_pairs=6), label="big")
+        batches.insert(data.draw(st.integers(0, len(batches)), label="at"), big)
     radix = len(ADMISSIBLE_LABELS)
-    rows = sum(len(_deletion_tables(base, pairs, radix)[1]) for base, pairs in batches)
+    rows = table_rows(batches)
     chunk = data.draw(st.integers(1, rows - 1), label="block rows")
     grams = _gram_stack(batches)
     first = np.cumsum([0] + [radix ** len(pairs) for _, pairs in batches])
+    decided = []
+    kernel = census.minors_psd
+
+    def counting(stack, k, zero_tol):
+        decided.append(len(stack) if k == 0 else 0)
+        return kernel(stack, k, zero_tol)
+
     for tol in TOLS:
-        with mock.patch.object(census, "_EIG_CHUNK", chunk):
+        decided.clear()
+        with mock.patch.object(census, "_EIG_CHUNK", chunk), \
+                mock.patch.object(census, "minors_psd", counting):
             got = _rank_survivors(batches, tol)
         assert all(codes.dtype == np.int8 for codes in got)
+        assert max(decided, default=0) <= chunk and sum(decided) <= rows
         members = [
             lo + codes @ radix ** np.arange(len(pairs))[::-1]
             for lo, codes, (_, pairs) in zip(first, got, batches)
@@ -287,35 +311,43 @@ def test_empty_batch_sends_no_rows_to_one_vertex_stage(monkeypatch):
 
 
 def test_census_kernel_work_bound(monkeypatch):
-    """Matrices and calls sent to eigvalsh by enumerate_level2(max_rank=8).
+    """Matrices the kernel decides, and eigvalsh calls, for enumerate_level2(max_rank=8).
 
-    One minor per candidate and deletion is 1,271,785; the two-vertex
-    deletion tables leave 92,172.  Deciding each family's tables of one rank
-    in blocks, and verifying each rank's survivors on one stack, takes 109
-    calls (one minors_psd call per deletion and batch took 9,734).  With the
-    Cholesky screen on every stack, however small, no matrix reaches
-    eigvalsh at any of the three tolerances: every census decision is
-    certified at a margin of tol/2.
+    One minor per candidate and deletion is 1,271,785.  Deciding every row
+    of the two-vertex deletion tables took 92,172 matrices in all; deciding
+    the tables in waves, only the rows a live candidate reads, takes 49,847.
+    Each family's tables of one rank are decided in blocks per wave, and
+    each rank's survivors are verified on one stack: 80 eigvalsh calls (one
+    minors_psd call per deletion and batch took 9,734).  With the Cholesky
+    screen on every stack, however small, no matrix reaches eigvalsh at any
+    of the three tolerances: every census decision is certified at a margin
+    of tol/2.
     """
-    matrices, calls = [0], [0]
-    eigvalsh = np.linalg.eigvalsh
+    matrices, calls, eigen = [0], [0], [0]
+    eigvalsh, decide = np.linalg.eigvalsh, forms._decide
 
     def counting(a):
         low = eigvalsh(a)
-        matrices[0] += math.prod(low.shape[:-1])
+        eigen[0] += math.prod(low.shape[:-1])
         calls[0] += 1
         return low
 
+    def deciding(stack, zero_tol, finite):
+        matrices[0] += len(stack)
+        return decide(stack, zero_tol, finite)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(forms, "_decide", deciding)
     assert len(enumerate_level2(max_rank=8)) == 304
-    assert matrices[0] < 120_000
+    assert matrices[0] < 50_000
     assert calls[0] < 400
 
     monkeypatch.setattr(forms, "_SCREEN_MIN", 1)
     for tol in TOLS:
-        matrices[0] = 0
+        matrices[0] = eigen[0] = 0
         assert len(enumerate_level2(max_rank=8, zero_tol=tol)) == 304
-        assert matrices[0] == 0
+        assert matrices[0] < 50_000
+        assert eigen[0] == 0
 
 
 NOMINATED_AT_RANK11 = {

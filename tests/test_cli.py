@@ -255,6 +255,24 @@ def test_infinite_weight_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("n=2; 0-1:inf(inf)", "finite c >= 1"),
+        ("n=2; 0-1:inf(0.5)", "finite c >= 1"),
+        ("n=2; 0-1:2", "absent edge"),
+        ("n=2; 0-1:inf(x)", "bad weight in '0-1:inf(x)'"),
+        ("n=2; 0-1:x", "bad label in '0-1:x'"),
+    ],
+)
+def test_compact_label_error_names_its_reason(tmp_path, capsys, text, reason):
+    """A label the parser read but EdgeLabel rejects reports EdgeLabel's reason."""
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 2 and reason in err and not out
+
+
+@pytest.mark.parametrize(
     "text",
     ["n=3; 0-1:inf(1e150) 1-2:3", "n=11; 0-1:inf(1e30) " + " ".join(f"{i}-{i + 1}:3" for i in range(1, 10))],
     ids=["rank3", "rank11"],
@@ -265,11 +283,17 @@ def test_infinite_weight_exits_2(tmp_path, capsys, text):
     ids=["classify", "weights", "tangency"],
 )
 def test_huge_weight_exit_code_is_not_1(tmp_path, capsys, text, argv):
-    """max|B|^n overflows a float here; the singularity test must not."""
+    """max|B|^n overflows a float here; the singularity test must not.
+
+    The weights are singular to working precision, and the eigenvalues'
+    roundoff, about n * eps * max|B|, exceeds the zero tolerance, so
+    classify and tangency refuse to decide a signature or level.
+    """
     path = tmp_path / "g.txt"
     path.write_text(text)
-    code, _, _ = run(capsys, [argv[0], str(path), *argv[1:]])
-    assert code != 1
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 2 and not out
+    assert ("singular" if argv[0] == "weights" else "roundoff") in err
 
 
 def test_pack_non_lorentzian_exits_2(graph_file, capsys):

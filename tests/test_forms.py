@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coxpack as cp
+from coxpack import forms
 from coxpack.forms import FormError, SingularFormError, TypeClass
 
 
@@ -25,6 +26,22 @@ def test_signature_errors():
         cp.signature(np.eye(2), zero_tol=0.0)
     with pytest.raises(FormError):
         cp.signature(np.ones((2, 3)))
+
+
+def test_roundoff_guard_refuses_undecidable_forms():
+    """Eigenvalues of a rank-3 form with weight c carry roundoff of about 3 * eps * c."""
+    for c in (2e12, 1e150):
+        g = cp.parse_compact(f"n=3; 0-1:inf({c}) 1-2:3")
+        for decide in (cp.signature, forms.classify_gram):
+            with pytest.raises(cp.GraphError, match="roundoff"):
+                decide(g.gram)
+        for decide in (cp.classify_type, cp.level, cp.is_strict_level2):
+            with pytest.raises(cp.GraphError, match="roundoff"):
+                decide(g)
+    g = cp.parse_compact("n=3; 0-1:inf(1e12) 1-2:3")
+    assert cp.signature(g.gram).n_minus == 1 and cp.level(g) == 2
+    with pytest.raises(cp.GraphError):
+        cp.level(g, zero_tol=1e-4)
 
 
 def test_signature_counts_sum(fig1a, fig1b, five_cycle, universal4, star_inf):

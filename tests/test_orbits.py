@@ -11,7 +11,9 @@ from coxpack.orbits import (
     RootSource,
     VectorClass,
     WeightSource,
+    _classify_norms,
     _walk,
+    _weight_columns,
     bilinear,
     classify_norm,
 )
@@ -191,6 +193,37 @@ def test_classify_norm():
     assert classify_norm(0.5, 0.5) is VectorClass.SPACE_LIKE
     assert classify_norm(-0.5, -0.5) is VectorClass.TIME_LIKE
     assert classify_norm(1e-12, 1e-12) is VectorClass.LIGHT_LIKE
+
+
+# The acceptance limit systems with their benchmark weight lengths.
+BENCH_WEIGHTS = {
+    "universal4": ("n=4; 0-1:inf 0-2:inf 0-3:inf 1-2:inf 1-3:inf 2-3:inf", 6),
+    "complete4": ("n=4; 0-1:4 0-2:4 0-3:4 1-2:4 1-3:4 2-3:4", 6),
+    "cycle5": ("n=5; 0-1:4 0-4:4 1-2:4 2-3:4 3-4:4", 7),
+    "star": ("n=4; 0-3:inf 1-3:inf 2-3:inf", 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WEIGHTS))
+def test_weight_classes_match_classify_norm(name):
+    """The whole-array classes are classify_norm's, record by record."""
+    text, length = BENCH_WEIGHTS[name]
+    g = cp.parse_compact(text)
+    _, fund_norms = cp.fundamental_weights(g.gram)
+    for ell in (0, length):
+        _, _, colors, norms, classes = _weight_columns(g, ell)
+        assert classes.dtype == object and len(classes) == len(norms)
+        want = [classify_norm(n, r) for n, r in zip(norms.tolist(), fund_norms[colors].tolist())]
+        assert classes.tolist() == want
+
+
+def test_classify_norms_edges():
+    """The light-like band scales with the reference; no norm is left unclassified."""
+    norms = np.array([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 5e-9, 5e-9, 1.0, -1.0])
+    refs = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 10.0, -1.0, 1.0, 1.0])
+    got = _classify_norms(norms, refs)
+    assert got.tolist() == [classify_norm(n, r) for n, r in zip(norms, refs)]
+    assert _classify_norms(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 def test_projectivize():
