@@ -51,10 +51,7 @@ class SphericalCap:
     angular_radius: float
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.center) - 1.0) > 1e-12:
-            raise ValueError("cap center must be a unit vector")
-        if not 0.0 < self.angular_radius < math.pi:
-            raise ValueError(f"cap radius must lie in (0, pi), got {self.angular_radius}")
+        _check_caps(np.asarray(self.center, dtype=float)[None], np.array([self.angular_radius]))
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_caps(centers: np.ndarray, radii: np.ndarray) -> None:
-    """SphericalCap's checks on cap rows."""
+    """Unit cap centers and radii in (0, pi), else ValueError; one cap per row."""
     if (np.abs(_row_norms(centers) - 1.0) > 1e-12).any():
         raise ValueError("cap center must be a unit vector")
     bad = np.flatnonzero(~((0.0 < radii) & (radii < math.pi)))

@@ -280,8 +280,8 @@ def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> lis
 # a graph on the candidates' full rank (a vertex the family adds is the last
 # one, isolated in base), and the batch stands for the graphs that add every
 # free pair to base as an edge, over all labelings in itertools.product
-# order.  nominate() expands batches into graphs; enumerate_level2 filters
-# them as label codes and builds graphs only for survivors.
+# order.  enumerate_level2 filters the members as label codes and builds
+# graphs only for survivors.
 # ---------------------------------------------------------------------------
 
 
@@ -368,17 +368,6 @@ def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[
                     yield _joined(t, v)
     else:
         raise ValueError(f"unknown family {family!r}")
-
-
-def nominate(family: Family, level1: list[CoxeterGraph]) -> Iterator[CoxeterGraph]:
-    """Candidate stream for one family; no level filtering happens here.
-
-    These are the graphs whose Gram matrices enumerate_level2 filters, in
-    the same order; it builds a graph only for a candidate that passes.
-    """
-    for base, pairs in _nomination_batches(family, level1):
-        for labeling in product(_LABELS, repeat=len(pairs)):
-            yield _labeled(base, pairs, labeling)
 
 
 def _checked(batches: list[Batch]) -> list[Batch]:

@@ -419,17 +419,15 @@ def cmd_enum(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    """The command-line parser; each subcommand takes only the options it reads."""
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--tol", type=float, default=1e-3, help="eigenvalue zero tolerance (finite, > 0)"
     )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="must be >= 1; the census runs in one process"
-    )
-    common.add_argument(
-        "--max-records", type=int, default=None, help="cap orbit record counts"
-    )
-    common.add_argument("--out", default=None, help="output file (default stdout)")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-records", type=int, default=None, help="cap orbit record counts")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default stdout)")
 
     parser = argparse.ArgumentParser(
         prog="coxpack",
@@ -437,24 +435,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="type, signature, level, weights")
+    p = sub.add_parser("classify", parents=[tol, out], help="type, signature, level, weights")
     p.add_argument("graph", help="graph file (JSON or compact form)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("roots", parents=[common], help="positive roots up to a depth")
+    p = sub.add_parser("roots", parents=[cap, out], help="positive roots up to a depth, as JSON")
     p.add_argument("graph")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("weights", parents=[common], help="weight orbit up to a word length")
+    p = sub.add_parser(
+        "weights", parents=[cap, out], help="weight orbit up to a word length, as JSON"
+    )
     p.add_argument("graph")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("pack", parents=[common], help="ball packing data or SVG")
+    p = sub.add_parser("pack", parents=[tol, cap, out], help="ball packing data or SVG")
     p.add_argument("graph")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--format", choices=["json", "svg"], default="json")
@@ -462,16 +460,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canvas", type=int, default=800, help="canvas size in px")
     p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("tangency", parents=[common], help="tangency graph of a level-2 system")
+    p = sub.add_parser(
+        "tangency", parents=[tol, cap, out], help="tangency graph of a level-2 system"
+    )
     p.add_argument("graph")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--format", choices=["json", "edges"], default="json")
     p.set_defaults(func=cmd_tangency)
 
-    p = sub.add_parser("enum", parents=[common], help="census of level-2 graphs")
+    p = sub.add_parser("enum", parents=[tol], help="census of level-2 graphs")
     p.add_argument("--max-rank", type=int, default=11)
+    p.add_argument("--out", default=None, help="CSV file (default census.csv)")
     p.add_argument("--json", default=None, help="also write a JSON mirror")
     p.add_argument("--strict-only", action="store_true")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="must be >= 1; the census runs in one process"
+    )
     p.set_defaults(func=cmd_enum)
     return parser
 
@@ -480,7 +484,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol > 0):
             raise _CliError(EXIT_PARSE, f"--tol must be finite and > 0, got {args.tol}")
         return args.func(args)
     except _CliError as exc:

@@ -429,9 +429,9 @@ def complete_graph(n: int, label) -> CoxeterGraph:
     return CoxeterGraph(n, tuple((u, v, lab) for u, v in combinations(range(n), 2)))
 
 
-def universal_graph(n: int, c: float = 1.0) -> CoxeterGraph:
-    """All bonds infinite with weight c: the universal geometric system."""
-    return complete_graph(n, EdgeLabel(None, c))
+def universal_graph(n: int) -> CoxeterGraph:
+    """All bonds infinite with weight 1; complete_graph(n, ("inf", c)) gives weight c."""
+    return complete_graph(n, EdgeLabel(None))
 
 
 def path_graph(labels) -> CoxeterGraph:

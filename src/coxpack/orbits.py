@@ -276,22 +276,22 @@ def roots_up_to_depth(
 _LIGHT_RTOL = 1e-9  # a norm within this of zero, relative to max(1, |reference|), is light-like
 
 
-def classify_norm(norm: float, reference_norm: float) -> VectorClass:
-    thr = _LIGHT_RTOL * max(1.0, abs(reference_norm))
-    if abs(norm) <= thr:
-        return VectorClass.LIGHT_LIKE
-    return VectorClass.SPACE_LIKE if norm > 0 else VectorClass.TIME_LIKE
-
-
 _CLASSES = np.array(
     [VectorClass.LIGHT_LIKE, VectorClass.SPACE_LIKE, VectorClass.TIME_LIKE], dtype=object
 )
 
 
-def _classify_norms(norms: np.ndarray, reference_norms: np.ndarray) -> np.ndarray:
-    """classify_norm of each norm against its reference, as an object array."""
-    light = np.abs(norms) <= _LIGHT_RTOL * np.maximum(1.0, np.abs(reference_norms))
-    return _CLASSES[np.where(light, 0, np.where(norms > 0, 1, 2))]
+def _classify_norms(norms, reference_norms):
+    """The VectorClass of each norm against its reference, as an object array.
+
+    Two floats give one VectorClass at scalar cost: classify_norm.
+    """
+    light = abs(norms) <= _LIGHT_RTOL * np.maximum(1.0, abs(reference_norms))
+    return _CLASSES[~light * (2 - (norms > 0))]  # light, else space- or time-like
+
+
+def classify_norm(norm: float, reference_norm: float) -> VectorClass:
+    return _classify_norms(norm, reference_norm)
 
 
 def _weight_columns(
@@ -364,25 +364,21 @@ def normalize_spacelike(x, b: np.ndarray) -> np.ndarray:
     return x / math.sqrt(q)
 
 
-def limit_sample(
-    g: CoxeterGraph,
-    source: RootSource | WeightSource,
-    max_records: int | None = None,
-) -> LimitSample:
+def limit_sample(g: CoxeterGraph, source: RootSource | WeightSource) -> LimitSample:
     """Projectivized deepest shell of the requested orbit, with its residual.
 
-    Only the shell itself is projectivized; max_records caps the records of
-    the whole orbit up to the shell, as for the enumerators.  Weights of
-    zero height have no affine coordinates and are counted as dropped.
+    The whole orbit up to the shell is walked, with no record cap, and only
+    the shell itself is projectivized.  Weights of zero height have no
+    affine coordinates and are counted as dropped.
     """
     b = g.gram
     if classify_gram(b, DEFAULT_ZERO_TOL) is not TypeClass.LORENTZIAN:
         raise NotLorentzianError("limit samples are defined for Lorentzian systems")
     if isinstance(source, RootSource):
-        vectors, depths, _ = _root_columns(g, source.depth, max_records)
+        vectors, depths, _ = _root_columns(g, source.depth)
         shell = vectors[depths == source.depth]
     elif isinstance(source, WeightSource):
-        vectors, lengths, *_ = _weight_columns(g, source.length, max_records)
+        vectors, lengths, *_ = _weight_columns(g, source.length)
         shell = vectors[lengths == source.length]
     else:
         raise TypeError(f"source must be RootSource or WeightSource, got {source!r}")

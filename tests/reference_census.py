@@ -1,4 +1,4 @@
-"""References for the census's two hot kernels, independent of the library's.
+"""References for the census's candidates and its two hot kernels.
 
 The level-2 filter decides every principal minor with a direct
 np.linalg.eigvalsh call on a stack of minors, one deletion at a time, so it
@@ -6,15 +6,35 @@ stays an oracle for forms.minors_psd and its Cholesky screen as well as for
 the census's memoized tables.  canonical_key is graphs.canonical_key as it
 was before its refinement step signed vertices by their edges: it signs
 each vertex by its full row of (token, colour) pairs.
+
+nominate builds the candidates of the nomination batches one CoxeterGraph at
+a time, the reference for the label-code Gram stacks the census decides.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from typing import Iterator
 
 import numpy as np
 
-from coxpack.graphs import _NO_EDGE, CoxeterGraph
+from coxpack.census import ADMISSIBLE_LABELS, Family, _nomination_batches
+from coxpack.graphs import _NO_EDGE, CoxeterGraph, EdgeLabel
+
+
+def nominate(family: Family, level1: list[CoxeterGraph], ranks=None) -> Iterator[CoxeterGraph]:
+    """Candidate graphs of one family, in nomination order; no level filtering.
+
+    Every labeling of each batch's free pairs, in itertools.product order
+    over ADMISSIBLE_LABELS.  With `ranks`, only the batches whose rank is in
+    it are expanded.
+    """
+    labels = [EdgeLabel(m) for m in ADMISSIBLE_LABELS]
+    for base, pairs in _nomination_batches(family, level1):
+        if ranks is None or base.rank in ranks:
+            for labeling in product(labels, repeat=len(pairs)):
+                edges = tuple((u, v, lab) for (u, v), lab in zip(pairs, labeling))
+                yield CoxeterGraph(base.rank, base.edges + edges)
 
 
 def minors_pass(grams: np.ndarray, k: int, tol: float, finite: bool = False) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import coxpack as cp
-from coxpack.cli import main
+from coxpack.cli import build_parser, main
 
 
 @pytest.fixture
@@ -364,10 +365,75 @@ BAD_TOLS = ["0", "-1", "nan", "inf"]
     ],
 )
 def test_bad_tol_is_usage_error(graph_file, capsys, tmp_path, fig1a, cmd, tol):
+    """A bad --tol exits 2 and writes nothing; roots and weights reject the flag itself."""
     args = [cmd[0]] if cmd[0] == "enum" else [cmd[0], graph_file(fig1a)]
     out = tmp_path / "out.txt"
-    code, stdout, err = run(capsys, [*args, *cmd[1:], "--tol", tol, "--out", str(out)])
-    assert code == 2 and "--tol" in err
+    argv = [*args, *cmd[1:], "--tol", tol, "--out", str(out)]
+    if cmd[0] in ("roots", "weights"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, (stdout, err) = exc.value.code, capsys.readouterr()
+        assert "unrecognized arguments: --tol" in err
+    else:
+        code, stdout, err = run(capsys, argv)
+        assert "--tol" in err
+    assert code == 2
+    assert not stdout and not out.exists()
+
+
+# every option of each subcommand, and its positional arguments
+OPTIONS = {
+    "classify": {"graph", "--format", "--tol", "--out"},
+    "roots": {"graph", "--depth", "--max-records", "--out"},
+    "weights": {"graph", "--length", "--max-records", "--out"},
+    "pack": {
+        "graph", "--length", "--format", "--min-radius", "--canvas",
+        "--tol", "--max-records", "--out",
+    },
+    "tangency": {"graph", "--length", "--format", "--tol", "--max-records", "--out"},
+    "enum": {"--max-rank", "--json", "--strict-only", "--jobs", "--tol", "--out"},
+}
+
+
+def test_each_command_takes_only_its_options():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {
+            a.option_strings[-1] if a.option_strings else a.dest
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize(
+    "cmd, flag",
+    [
+        (["classify"], ["--jobs", "1"]),
+        (["classify"], ["--max-records", "5"]),
+        (["roots", "--depth", "2"], ["--jobs", "1"]),
+        (["roots", "--depth", "2"], ["--tol", "1e-3"]),
+        (["roots", "--depth", "2"], ["--format", "json"]),
+        (["weights", "--length", "1"], ["--jobs", "1"]),
+        (["weights", "--length", "1"], ["--tol", "1e-3"]),
+        (["weights", "--length", "1"], ["--format", "json"]),
+        (["pack", "--length", "1"], ["--jobs", "1"]),
+        (["tangency", "--length", "1"], ["--jobs", "1"]),
+        (["enum", "--max-rank", "5"], ["--max-records", "5"]),
+    ],
+    ids=lambda v: v[0],
+)
+def test_removed_flag_is_usage_error(graph_file, capsys, tmp_path, fig1a, cmd, flag):
+    """A flag the command does not read exits 2 before any output."""
+    args = [cmd[0]] if cmd[0] == "enum" else [cmd[0], graph_file(fig1a)]
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, *cmd[1:], *flag, "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert exc.value.code == 2 and f"unrecognized arguments: {flag[0]}" in err
     assert not stdout and not out.exists()
 
 
