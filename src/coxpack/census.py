@@ -3,9 +3,10 @@
 Candidates are nominated family by family from a catalog of level-1 graphs
 (trees, cycles, and cycles with a pendant edge) plus three simply-laced
 special graphs.  A family is a list of batches: a base graph plus a few free
-vertex pairs, standing for every labeling of those pairs, so a candidate is
-a row of label codes and a CoxeterGraph is built only for the candidates
-that pass numeric level recognition (about 890 of 380k at rank 11).
+vertex pairs, standing for every labeling of those pairs.  The members of
+same-rank batches are one boolean mask over label codes (_members), so a
+candidate is a row of codes, and a CoxeterGraph is built only for the
+candidates that pass numeric level recognition (about 890 of 380k at rank 11).
 
 Recognition decides each minor at most once, and only when a live
 candidate reads it.  A graph has level 2 when every two-vertex deletion is
@@ -36,7 +37,7 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -104,18 +105,12 @@ def _joined(g: CoxeterGraph, *vs: int) -> Batch:
     return CoxeterGraph(g.rank + 1, g.edges), tuple((v, g.rank) for v in vs)
 
 
-def _labeled(base: CoxeterGraph, pairs, labeling) -> CoxeterGraph:
-    """The batch member that gives free pair i the label labeling[i]."""
+def _labeled(base: CoxeterGraph, pairs, codes) -> CoxeterGraph:
+    """The batch member that gives free pair i the label of code codes[i];
+    codes past the last pair are padding."""
     return CoxeterGraph(
-        base.rank, base.edges + tuple((u, v, lab) for (u, v), lab in zip(pairs, labeling))
+        base.rank, base.edges + tuple((u, v, _LABELS[c]) for (u, v), c in zip(pairs, codes))
     )
-
-
-def _label_codes(k: int, width: int) -> np.ndarray:
-    """Every labeling of k free pairs as a row of label codes, in product order,
-    padded with code 0 to width columns."""
-    shape = (len(_LABELS),) * k + (1,) * (width - k)
-    return np.indices(shape, dtype=np.int8).reshape(width, -1).T
 
 
 def _padded(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,6 +124,21 @@ def _padded(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     uv = np.zeros(free.shape + (2,), dtype=int)
     uv[free] = np.array([p for _, pairs in batches for p in pairs], dtype=int).reshape(-1, 2)
     return np.stack([base.gram for base, _ in batches]), uv, free
+
+
+def _members(free: np.ndarray) -> np.ndarray:
+    """Every member of the batches with free pairs free[b, p], as one boolean
+    mask shaped (batch, radix, ..., radix), one code axis per column of free.
+
+    A padding pair holds code 0, so np.nonzero lists the members in batch
+    order and each batch's labelings in itertools.product order.  Built one
+    pair at a time by broadcasting, with no table of codes.
+    """
+    mask = np.ones(len(free), dtype=bool)
+    for column in free.T:
+        allowed = column[:, None] | (np.arange(len(_LABELS)) == 0)  # (batch, radix)
+        mask = mask[..., None] & np.expand_dims(allowed, tuple(range(1, mask.ndim)))
+    return mask
 
 
 def _set_labels(stack: np.ndarray, at: np.ndarray, mask: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -200,17 +210,13 @@ def _levels01(batches: list[Batch], zero_tol: float):
 
     Both levels are decided on one _gram_stack, so apart from the first member
     of each batch, which the stack builds as a check, a graph is built only for
-    a member of level <= 1.
+    a member of level <= 1, from the label codes its Gram matrix was built from.
     """
-    levels = _levels(_gram_stack(batches), zero_tol, below=2)
-    members = (
-        (base, pairs, labeling)
-        for base, pairs in batches
-        for labeling in product(_LABELS, repeat=len(pairs))
-    )
-    for (base, pairs, labeling), lv in zip(members, levels):
-        if lv <= 1:
-            yield _labeled(base, pairs, labeling), int(lv)
+    grams, members = _gram_stack(batches)
+    levels = _levels(grams, zero_tol, below=2)
+    keep = levels <= 1
+    for (b, *codes), lv in zip(members[keep].tolist(), levels[keep].tolist()):
+        yield _labeled(*batches[b], codes), lv
 
 
 def _catalog_level01(max_n: int, zero_tol: float):
@@ -280,13 +286,9 @@ def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> lis
 # a graph on the candidates' full rank (a vertex the family adds is the last
 # one, isolated in base), and the batch stands for the graphs that add every
 # free pair to base as an edge, over all labelings in itertools.product
-# order.  enumerate_level2 filters the members as label codes and builds
-# graphs only for survivors.
+# order, as _members lists them.  enumerate_level2 filters the members as
+# label codes and builds graphs only for survivors.
 # ---------------------------------------------------------------------------
-
-
-def _butterfly_edges() -> list[tuple[int, int]]:
-    return [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
 
 
 def _theta_edges(a: int, bsz: int, c: int) -> tuple[int, list[tuple[int, int]]]:
@@ -312,7 +314,7 @@ def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[
             for subset in combinations(range(base.rank), r):
                 yield _joined(base, *subset)
     elif family is Family.TWO_CYCLES:
-        yield CoxeterGraph(5), tuple(_butterfly_edges())
+        yield CoxeterGraph(5), ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4))  # butterfly
         for a, bsz, c in [(0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]:
             rank, shape = _theta_edges(a, bsz, c)
             yield CoxeterGraph(rank), tuple(shape)
@@ -377,21 +379,22 @@ def _checked(batches: list[Batch]) -> list[Batch]:
     a pair or of a base edge) raises GraphError.
     """
     for base, pairs in batches:
-        _labeled(base, pairs, _LABELS[:1] * len(pairs))
+        _labeled(base, pairs, (0,) * len(pairs))
     return batches
 
 
-def _gram_stack(batches: list[Batch]) -> np.ndarray:
-    """Gram matrices of every member of the _checked batches (all of one rank), in order.
+def _gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of every member of the _checked batches (all of one rank),
+    bitwise their CoxeterGraph.gram, and the members, np.argwhere(_members).
 
-    Bitwise equal to the members' CoxeterGraph.gram.  The level-1 catalog
-    decides its levels on these stacks; tests filter the nomination stacks
-    with a per-candidate eigvalsh filter as the reference for _rank_survivors.
+    The level-1 catalog decides its levels on these stacks; tests filter the
+    nomination stacks with a per-candidate eigvalsh filter as the reference
+    for _rank_survivors.
     """
     grams, uv, free = _padded(_checked(batches))
-    b = np.repeat(np.arange(len(batches)), len(_LABELS) ** free.sum(axis=1))
-    codes = np.concatenate([_label_codes(len(pairs), free.shape[1]) for _, pairs in batches])
-    return _set_labels(grams[b], uv[b], free[b], codes)
+    members = np.argwhere(_members(free))
+    b, codes = members[:, 0], members[:, 1:]
+    return _set_labels(grams[b], uv[b], free[b], codes), members
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +413,15 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     Every two-vertex deletion must be positive semidefinite, and its minor
     depends only on the labels of the free pairs inside it, so each
     deletion of a batch has a table with one row per labeling of those
-    pairs.  The members of the batches with k free pairs are one boolean
-    array ok, shaped (batch, radix, ..., radix), and read a deletion's
-    table by mixed-radix code: its verdicts broadcast along the pairs
-    outside.  Tables are decided in waves of increasing inside-pair count,
-    and a wave decides only the rows some member still alive reads, in
-    blocks of _EIG_CHUNK rows across batches and deletions.  A member dies
-    at a failing row; the rows it alone would read are never decided.  Some
-    one-vertex deletion must then fail, decided in one call on the Gram
-    matrices of the members left; by interlacing, the full matrix then
-    fails too and needs no test of its own.
+    pairs.  The members alive are one boolean array ok, the _members mask,
+    and read a deletion's table by mixed-radix code: its verdicts broadcast
+    along the pairs outside, padding pairs included.  Tables are decided in
+    waves of increasing inside-pair count, and a wave decides only the rows
+    some member still alive reads, in blocks of _EIG_CHUNK rows across
+    batches and deletions.  A member dies at a failing row; the rows it
+    alone would read are never decided.  Some one-vertex deletion must then
+    fail, decided in one call on the Gram matrices of the members left; by
+    interlacing, the full matrix then fails too and needs no test of its own.
     """
     radix = len(_LABELS)
     grams, uv, free = _padded(batches)
@@ -432,23 +434,20 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     at = (np.cumsum(kept, axis=1) - 1)[:, uv].transpose(1, 0, 2, 3)
     masks = inside @ (1 << np.arange(width))
     counts = inside.sum(axis=-1)
-    sizes = free.sum(axis=1)
-    groups = {k: np.flatnonzero(sizes == k) for k in np.unique(sizes).tolist()}
-    ok = {k: np.ones((len(idx),) + (radix,) * k, dtype=bool) for k, idx in groups.items()}
+    ok = _members(free)
     for c in range(width + 1):
         # wave c: each deletion with c pairs inside, each row a live member reads
         rows, reads = [], []
-        for k, idx in groups.items():
-            wave = np.where(counts[idx] == c, masks[idx], -1)
-            for mask in np.unique(wave[wave >= 0]).tolist():
-                axes = [a for a in range(k) if mask >> a & 1]
-                outside = tuple(a + 1 for a in range(k) if not mask >> a & 1)
-                eb, ed = np.nonzero(wave == mask)
-                e, *digits = np.nonzero(ok[k].any(axis=outside)[eb])
-                codes = np.zeros((len(e), width), dtype=np.int8)
-                codes[:, axes] = np.array(digits, dtype=np.int8).reshape(c, len(e)).T
-                rows.append((idx[eb[e]], ed[e], codes))
-                reads.append((k, outside, (eb[e], *digits)))
+        wave = np.where(counts == c, masks, -1)
+        for mask in np.unique(wave[wave >= 0]).tolist():
+            axes = [a for a in range(width) if mask >> a & 1]
+            outside = tuple(a + 1 for a in range(width) if not mask >> a & 1)
+            eb, ed = np.nonzero(wave == mask)
+            e, *digits = np.nonzero(ok.any(axis=outside)[eb])
+            codes = np.zeros((len(e), width), dtype=np.int8)
+            codes[:, axes] = np.array(digits, dtype=np.int8).reshape(c, len(e)).T
+            rows.append((eb[e], ed[e], codes))
+            reads.append((outside, (eb[e], *digits)))
         if not rows:
             continue
         b, d, codes = (np.concatenate(col) for col in zip(*rows))
@@ -462,23 +461,16 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
         # a member reading a failing row dies
         fails = ~np.concatenate(verdicts)
         ends = np.cumsum([len(row[0]) for row in rows])
-        for (k, outside, where), failed in zip(reads, np.split(fails, ends[:-1])):
-            bad = np.zeros((len(groups[k]),) + (radix,) * (k - len(outside)), dtype=bool)
+        for (outside, where), failed in zip(reads, np.split(fails, ends[:-1])):
+            bad = np.zeros((len(batches),) + (radix,) * (width - len(outside)), dtype=bool)
             bad[tuple(w[failed] for w in where)] = True
-            ok[k] &= ~np.expand_dims(bad, outside)
+            ok &= ~np.expand_dims(bad, outside)
 
     # the members left, in batch order, to the one-vertex stage
-    found = {k: np.argwhere(alive) for k, alive in ok.items()}
-    b = np.concatenate([groups[k][where[:, 0]] for k, where in found.items()])
-    codes = np.concatenate(
-        [np.pad(where[:, 1:], ((0, 0), (0, width - k))) for k, where in found.items()]
-    ).astype(np.int8)
-    order = np.argsort(b, kind="stable")
-    b, codes = b[order], codes[order]
+    alive = np.argwhere(ok)
+    b, codes = alive[:, 0], alive[:, 1:].astype(np.int8)
     fails = ~minors_psd(_set_labels(grams[b], uv[b], free[b], codes), 1, zero_tol)
-    b, codes = b[fails], codes[fails]
-    ends = np.searchsorted(b, np.arange(1, len(batches)))
-    return [left[:, :k] for left, k in zip(np.split(codes, ends), sizes)]
+    return [codes[fails & (b == i), :k] for i, k in enumerate(free.sum(axis=1).tolist())]
 
 
 def _by_rank(graphs: list[CoxeterGraph], decide) -> np.ndarray:
@@ -534,11 +526,7 @@ def _family_survivors(
     for n in sorted({base.rank for base, _ in batches}):
         idx = [i for i, (base, _) in enumerate(batches) if base.rank == n]
         codes.update(zip(idx, _rank_survivors([batches[i] for i in idx], zero_tol)))
-    return [
-        _labeled(base, pairs, [_LABELS[c] for c in row])
-        for i, (base, pairs) in enumerate(batches)
-        for row in codes[i]
-    ]
+    return [_labeled(*batch, row) for i, batch in enumerate(batches) for row in codes[i].tolist()]
 
 
 def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> list[CensusEntry]:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -54,18 +55,23 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read_graph(path: str):
+@contextmanager
+def _file_error(verb: str, path: str):
+    """Report an OSError while the block reads or writes path as a usage error (exit 2)."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        yield
     except OSError as exc:
-        raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from None
-    return load_graph(text)
+        raise _CliError(EXIT_PARSE, f"cannot {verb} {path}: {exc}") from None
+
+
+def _read_graph(path: str):
+    with _file_error("read", path), open(path) as fh:
+        return load_graph(fh.read())
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        with _file_error("write", out), open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -406,9 +412,11 @@ def cmd_enum(args) -> int:
         return EXIT_ENUM_INVARIANT
 
     selected = [e for e in entries if e.strict] if args.strict_only else entries
-    census_mod.write_census_csv(selected, out_path)
+    with _file_error("write", out_path):
+        census_mod.write_census_csv(selected, out_path)
     if args.json:
-        census_mod.write_census_json(selected, args.json)
+        with _file_error("write", args.json):
+            census_mod.write_census_json(selected, args.json)
     report = census_mod.census_report(selected)
     hist = ",".join(f"{r}:{c}" for r, c in report.rank_histogram().items())
     print(f"total={report.total} strict={report.strict_total} ranks={hist} out={out_path}")

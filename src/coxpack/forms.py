@@ -70,6 +70,7 @@ def _check_resolvable(b: np.ndarray, zero_tol: float) -> None:
     (Golub and Van Loan, Matrix Computations, section 8.1); once that bound
     reaches zero_tol, a sign decision at zero_tol is noise.
     """
+    _check_tol(zero_tol)
     bound = b.shape[-1] * np.finfo(float).eps * (float(np.abs(b).max()) if b.size else 0.0)
     if bound >= zero_tol:
         raise GraphError(
@@ -83,7 +84,6 @@ def signature(b, zero_tol: float = DEFAULT_ZERO_TOL) -> Signature:
 
     Raises GraphError when eigvalsh's roundoff reaches zero_tol.
     """
-    _check_tol(zero_tol)
     b = _check_gram(b)
     _check_resolvable(b, zero_tol)
     w = np.linalg.eigvalsh(b)
@@ -202,10 +202,12 @@ def is_level_at_most(g: CoxeterGraph, r: int, zero_tol: float = DEFAULT_ZERO_TOL
 
     That is, every principal minor of the Gram matrix on rank - r vertices
     is positive semidefinite up to zero_tol; one minors_psd call decides it.
+    Raises GraphError when eigvalsh's roundoff on the Gram matrix reaches zero_tol.
     """
     n = g.rank
     if not 0 <= r < n:
         raise ValueError(f"level bound r must satisfy 0 <= r < {n}, got {r}")
+    _check_resolvable(g.gram, zero_tol)
     return bool(minors_psd(g.gram[None], r, zero_tol)[0])
 
 
@@ -214,7 +216,6 @@ def level(g: CoxeterGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
 
     Raises GraphError when eigvalsh's roundoff on the Gram matrix reaches zero_tol.
     """
-    _check_tol(zero_tol)
     _check_resolvable(g.gram, zero_tol)
     return int(_levels(g.gram[None], zero_tol)[0])
 

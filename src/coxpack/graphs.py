@@ -96,7 +96,7 @@ class CoxeterGraph:
                 u, v, lab = item
             except (TypeError, ValueError):
                 raise GraphError(f"edge must be a (u, v, label) triple, got {item!r}") from None
-            if not isinstance(u, int) or not isinstance(v, int):
+            if not isinstance(u, int) or not isinstance(v, int) or bool in (type(u), type(v)):
                 raise GraphError(f"vertex ids must be integers, got {item!r}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
@@ -98,7 +99,7 @@ def test_enumerate_level1_contents(level1):
 
 def _reference_catalog(max_n, labels, zero_tol):
     """The level-1 catalog built one candidate at a time: one key and one level each."""
-    labs = [cp.EdgeLabel(m) for m in labels]
+    codes = [ADMISSIBLE_LABELS.index(m) for m in labels]
     l0_trees = {1: [cp.CoxeterGraph(1)]}
     l1_trees = []
     for k in range(1, max_n):
@@ -106,8 +107,8 @@ def _reference_catalog(max_n, labels, zero_tol):
         seen = set()
         for base in l0_trees[k]:
             for v in range(k):
-                for lab in labs:
-                    cand = _labeled(*_joined(base, v), [lab])
+                for code in codes:
+                    cand = _labeled(*_joined(base, v), [code])
                     key = cp.canonical_key(cand)
                     if key in seen:
                         continue
@@ -126,8 +127,8 @@ def _reference_catalog(max_n, labels, zero_tol):
         seen = set()
         for base in l0_paths[k]:
             ends = _leaves(base)
-            for lab1, lab2 in product(labs, repeat=2):
-                cand = _labeled(*_joined(base, *ends), [lab1, lab2])
+            for pair_codes in product(codes, repeat=2):
+                cand = _labeled(*_joined(base, *ends), pair_codes)
                 key = cp.canonical_key(cand)
                 if key in seen:
                     continue
@@ -138,8 +139,8 @@ def _reference_catalog(max_n, labels, zero_tol):
     l1_tailed = []
     for m in range(3, max_n):
         base = cp.cycle_graph([3] * m)
-        for lab in labs:
-            cand = _labeled(*_joined(base, 0), [lab])
+        for code in codes:
+            cand = _labeled(*_joined(base, 0), [code])
             if cp.level(cand, zero_tol) == 1:
                 l1_tailed.append(cand)
 
@@ -212,7 +213,7 @@ def test_gram_stacks_match_nominate(level1_5, family):
         if not group:
             assert not want
             continue
-        got = _gram_stack(group)
+        got, _ = _gram_stack(group)
         assert got.shape == (len(want), n, n)
         assert got.tobytes() == np.stack(want).tobytes()
     # survivors are rebuilt as the same graphs, in the same order
@@ -258,7 +259,7 @@ def test_batch_survivors_match_reference_filter(data):
     radix = len(ADMISSIBLE_LABELS)
     rows = table_rows(batches)
     chunk = data.draw(st.integers(1, rows - 1), label="block rows")
-    grams = _gram_stack(batches)
+    grams, _ = _gram_stack(batches)
     first = np.cumsum([0] + [radix ** len(pairs) for _, pairs in batches])
     decided = []
     kernel = census.minors_psd
@@ -296,7 +297,7 @@ def test_empty_batch_sends_no_rows_to_one_vertex_stage(monkeypatch):
     four = cp.EdgeLabel(4)
     empty = (cp.CoxeterGraph(5, ((2, 3, four), (2, 4, four), (3, 4, four))), ((0, 1), (0, 2)))
     live = _joined(_specials()[0], 0, 1)
-    left = int(minors_psd(_gram_stack([live]), 2, 1e-3).sum())
+    left = int(minors_psd(_gram_stack([live])[0], 2, 1e-3).sum())
     assert left
 
     monkeypatch.setattr(census, "minors_psd", counting)
@@ -347,6 +348,21 @@ def test_census_kernel_work_bound(monkeypatch):
         assert len(enumerate_level2(max_rank=8, zero_tol=tol)) == 304
         assert matrices[0] < 50_000
         assert eigen[0] == 0
+
+
+def test_census_member_mask_stays_small():
+    """enumerate_level2(max_rank=8) peaks at 2.5-3.6 MB under tracemalloc.
+
+    The members of a batch are one boolean mask built by broadcasting;
+    building it from a table of every member's label codes peaks near 26 MB.
+    """
+    tracemalloc.start()
+    try:
+        assert len(enumerate_level2(max_rank=8)) == 304
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 NOMINATED_AT_RANK11 = {

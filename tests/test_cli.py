@@ -71,6 +71,20 @@ def test_classify_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_unwritable_output_is_usage_error(graph_file, capsys, tmp_path, fig1a):
+    """An output path in a missing directory exits 2 with one line, like an unreadable input."""
+    bad = tmp_path / "missing" / "x.txt"
+    code, _, err = run(capsys, ["classify", graph_file(fig1a), "--out", str(bad)])
+    assert code == 2 and err.startswith(f"error: cannot write {bad}: ")
+    code, _, err = run(capsys, ["enum", "--max-rank", "5", "--out", str(bad)])
+    assert code == 2 and err.startswith(f"error: cannot write {bad}: ")
+    good = tmp_path / "census.csv"
+    code, _, err = run(capsys, ["enum", "--max-rank", "5", "--out", str(good), "--json", str(bad)])
+    assert code == 2 and err.startswith(f"error: cannot write {bad}: ")
+    assert good.read_text().count("\n") == 190  # header and the 189 rank-5 graphs
+    assert not bad.parent.exists()
+
+
 def test_roots_finite(graph_file, capsys):
     code, out, _ = run(capsys, ["roots", graph_file(cp.path_graph([3])), "--depth", "9"])
     doc = json.loads(out)

@@ -38,6 +38,9 @@ def test_roundoff_guard_refuses_undecidable_forms():
         for decide in (cp.classify_type, cp.level, cp.is_strict_level2):
             with pytest.raises(cp.GraphError, match="roundoff"):
                 decide(g)
+        for r in (0, 1, 2):
+            with pytest.raises(cp.GraphError, match="roundoff"):
+                cp.is_level_at_most(g, r)
     g = cp.parse_compact("n=3; 0-1:inf(1e12) 1-2:3")
     assert cp.signature(g.gram).n_minus == 1 and cp.level(g) == 2
     with pytest.raises(cp.GraphError):

@@ -42,6 +42,10 @@ def test_graph_invariants():
         cp.CoxeterGraph(3, ((0, 1, cp.EdgeLabel(3)), (1, 0, cp.EdgeLabel(4))))
     with pytest.raises(GraphError):
         cp.CoxeterGraph(33)
+    # a bool is an int to isinstance, but to_compact would write it as False/True
+    for u, v in ((True, False), (0, True)):
+        with pytest.raises(GraphError, match="vertex ids"):
+            cp.CoxeterGraph(2, ((u, v, 3),))
 
 
 def test_edge_order_independence():
