@@ -64,6 +64,21 @@ def _file_error(verb: str, path: str):
         raise _CliError(EXIT_PARSE, f"cannot {verb} {path}: {exc}") from None
 
 
+def _check_writable(paths: list[str]) -> None:
+    """Exit 2 unless each path opens for writing; leave behind no file this created."""
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            with _file_error("write", path), open(path, "a"):
+                pass
+            if not existed:
+                created.append(path)
+    finally:
+        for path in created:
+            os.remove(path)
+
+
 def _read_graph(path: str):
     with _file_error("read", path), open(path) as fh:
         return load_graph(fh.read())
@@ -75,23 +90,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _max_records(args) -> int | None:
-    if args.max_records is not None:
-        if args.max_records < 1:
-            raise _CliError(EXIT_PARSE, f"--max-records must be >= 1, got {args.max_records}")
-        return args.max_records
-    env = os.environ.get("COXPACK_MAX_MEM")
-    if env:
-        try:
-            mem = int(env)
-        except ValueError:
-            raise _CliError(EXIT_PARSE, f"COXPACK_MAX_MEM must be an integer byte count, got {env!r}")
-        if mem < 1:
-            raise _CliError(EXIT_PARSE, f"COXPACK_MAX_MEM must be a positive byte count, got {env!r}")
-        return max(1, mem // 256)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +235,8 @@ def _projective_rows(vectors: np.ndarray, layers: np.ndarray, b: np.ndarray):
 
 
 def cmd_roots(args) -> int:
-    if args.depth < 1:
-        raise _CliError(EXIT_PARSE, f"--depth must be >= 1, got {args.depth}")
     g = _read_graph(args.graph)
-    vectors, depths, heights = _root_columns(g, args.depth, max_records=_max_records(args))
+    vectors, depths, heights = _root_columns(g, args.depth, max_records=args.max_records)
     projective, residual_by_depth = _projective_rows(vectors, depths, g.gram)
     head = {
         "graph": to_compact(g),
@@ -259,11 +255,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    if args.length < 0:
-        raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
     g = _read_graph(args.graph)
     vectors, lengths, colors, norms, classes = _weight_columns(
-        g, args.length, max_records=_max_records(args)
+        g, args.length, max_records=args.max_records
     )
     projective, residual_by_length = _projective_rows(vectors, lengths, g.gram)
     head = {
@@ -287,21 +281,13 @@ def cmd_weights(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    if args.length < 0:
-        raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
-    if not (math.isfinite(args.min_radius) and args.min_radius >= 0):
-        raise _CliError(
-            EXIT_PARSE, f"--min-radius must be finite and >= 0, got {args.min_radius}"
-        )
-    if args.canvas < 1:
-        raise _CliError(EXIT_PARSE, f"--canvas must be >= 1, got {args.canvas}")
     g = _read_graph(args.graph)
     if args.format == "svg" and g.rank != 4:
         raise _CliError(EXIT_SVG_RANK, f"svg output requires rank 4 (disks), got rank {g.rank}")
     b = g.gram
     frame = lorentz_frame(b, args.tol)
     vectors, lengths, colors, norms, classes = _weight_columns(
-        g, args.length, max_records=_max_records(args)
+        g, args.length, max_records=args.max_records
     )
     space = classes == VectorClass.SPACE_LIKE
     lengths, colors = lengths[space], colors[space]
@@ -355,10 +341,8 @@ def cmd_pack(args) -> int:
 
 
 def cmd_tangency(args) -> int:
-    if args.length < 0:
-        raise _CliError(EXIT_PARSE, f"--length must be >= 0, got {args.length}")
     g = _read_graph(args.graph)
-    tg = tangency_graph(g, args.length, args.tol, max_records=_max_records(args))
+    tg = tangency_graph(g, args.length, args.tol, max_records=args.max_records)
     # vertex ids are positions in tg.vertices, the indices the oracle reports
     agrees = geometric_oracle(tg.vertices, g.gram) == tg.edge_set()
 
@@ -387,11 +371,8 @@ def cmd_tangency(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    if not 5 <= args.max_rank <= 11:
-        raise _CliError(EXIT_PARSE, f"--max-rank must lie in 5..11, got {args.max_rank}")
-    if args.jobs < 1:
-        raise _CliError(EXIT_PARSE, f"--jobs must be >= 1, got {args.jobs}")
     out_path = args.out or "census.csv"
+    _check_writable([p for p in (out_path, args.json) if p])
     entries = census_mod.enumerate_level2(max_rank=args.max_rank, zero_tol=args.tol)
     problems = []
     keys = [e.key for e in entries]
@@ -426,16 +407,33 @@ def cmd_enum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _bounded(kind, low, high=math.inf, strict=False):
+    """An argparse type: a finite `kind` value >= low (> low if strict) and <= high."""
+    rule = f"in {low}..{high}" if high < math.inf else f"{'>' if strict else '>='} {low}"
+    rule = "finite and " + rule if kind is float else rule
+
+    def parse(text: str):
+        value = kind(text)
+        if not ((low < value if strict else low <= value) and value <= high and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser; each subcommand takes only the options it reads."""
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
-        "--tol", type=float, default=1e-3, help="eigenvalue zero tolerance (finite, > 0)"
+        "--tol", type=_bounded(float, 0, strict=True), default=1e-3,
+        help="eigenvalue zero tolerance, finite and > 0",
     )
     cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--max-records", type=int, default=None, help="cap orbit record counts")
+    cap.add_argument("--max-records", type=_bounded(int, 1), help="cap orbit record counts, >= 1")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output file (default stdout)")
+    length = {"type": _bounded(int, 0), "required": True, "help": "word length, >= 0"}
 
     parser = argparse.ArgumentParser(
         prog="coxpack",
@@ -450,39 +448,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", parents=[cap, out], help="positive roots up to a depth, as JSON")
     p.add_argument("graph")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_bounded(int, 1), required=True, help="root depth, >= 1")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser(
         "weights", parents=[cap, out], help="weight orbit up to a word length, as JSON"
     )
     p.add_argument("graph")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", **length)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("pack", parents=[tol, cap, out], help="ball packing data or SVG")
     p.add_argument("graph")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", **length)
     p.add_argument("--format", choices=["json", "svg"], default="json")
-    p.add_argument("--min-radius", type=float, default=0.75, help="drop smaller disks (px)")
-    p.add_argument("--canvas", type=int, default=800, help="canvas size in px")
+    p.add_argument(
+        "--min-radius", type=_bounded(float, 0), default=0.75,
+        help="drop smaller disks (px), finite and >= 0",
+    )
+    p.add_argument("--canvas", type=_bounded(int, 1), default=800, help="canvas size in px, >= 1")
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser(
         "tangency", parents=[tol, cap, out], help="tangency graph of a level-2 system"
     )
     p.add_argument("graph")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", **length)
     p.add_argument("--format", choices=["json", "edges"], default="json")
     p.set_defaults(func=cmd_tangency)
 
     p = sub.add_parser("enum", parents=[tol], help="census of level-2 graphs")
-    p.add_argument("--max-rank", type=int, default=11)
+    p.add_argument("--max-rank", type=_bounded(int, 5, 11), default=11, help="top rank, in 5..11")
     p.add_argument("--out", default=None, help="CSV file (default census.csv)")
     p.add_argument("--json", default=None, help="also write a JSON mirror")
     p.add_argument("--strict-only", action="store_true")
     p.add_argument(
-        "--jobs", type=int, default=1, help="must be >= 1; the census runs in one process"
+        "--jobs", type=_bounded(int, 1), default=1, help=">= 1; the census runs in one process"
     )
     p.set_defaults(func=cmd_enum)
     return parser
@@ -492,8 +493,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol > 0):
-            raise _CliError(EXIT_PARSE, f"--tol must be finite and > 0, got {args.tol}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,11 @@ def graph_file(tmp_path):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    """Exit code, stdout and stderr of the command line; argparse's usage errors exit 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -76,13 +80,29 @@ def test_unwritable_output_is_usage_error(graph_file, capsys, tmp_path, fig1a):
     bad = tmp_path / "missing" / "x.txt"
     code, _, err = run(capsys, ["classify", graph_file(fig1a), "--out", str(bad)])
     assert code == 2 and err.startswith(f"error: cannot write {bad}: ")
-    code, _, err = run(capsys, ["enum", "--max-rank", "5", "--out", str(bad)])
-    assert code == 2 and err.startswith(f"error: cannot write {bad}: ")
-    good = tmp_path / "census.csv"
-    code, _, err = run(capsys, ["enum", "--max-rank", "5", "--out", str(good), "--json", str(bad)])
-    assert code == 2 and err.startswith(f"error: cannot write {bad}: ")
-    assert good.read_text().count("\n") == 190  # header and the 189 rank-5 graphs
     assert not bad.parent.exists()
+
+
+def test_enum_checks_its_outputs_before_the_census(capsys, tmp_path, monkeypatch):
+    """An unwritable --out or --json exits 2 before the census runs, and creates neither file."""
+    from coxpack import census
+
+    def no_census(**_):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(census, "enumerate_level2", no_census)
+    bad = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, ["enum", "--out", str(bad)])
+    assert code == 2 and err.startswith(f"error: cannot write {bad}: ") and not out
+    good = tmp_path / "ok.csv"
+    bad = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["enum", "--out", str(good), "--json", str(bad)])
+    assert code == 2 and err.startswith(f"error: cannot write {bad}: ") and not out
+    assert not good.exists() and not bad.parent.exists()
+    good.write_text("kept")
+    code, _, _ = run(capsys, ["enum", "--out", str(good), "--json", str(bad)])
+    assert code == 2 and good.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
 
 
 def test_roots_finite(graph_file, capsys):
@@ -111,19 +131,6 @@ def test_max_records_below_one_is_usage_error(graph_file, capsys, universal4, ca
         argv = [cmd[0], graph_file(universal4), *cmd[1:], "--max-records", cap]
         code, _, err = run(capsys, argv)
         assert code == 2 and "--max-records" in err
-
-
-@pytest.mark.parametrize("mem", ["0", "-5"])
-def test_max_mem_below_one_is_usage_error(graph_file, capsys, universal4, monkeypatch, mem):
-    monkeypatch.setenv("COXPACK_MAX_MEM", mem)
-    code, _, err = run(capsys, ["roots", graph_file(universal4), "--depth", "3"])
-    assert code == 2 and "COXPACK_MAX_MEM" in err
-
-
-def test_roots_env_cap(graph_file, capsys, universal4, monkeypatch):
-    monkeypatch.setenv("COXPACK_MAX_MEM", "4096")
-    code, _, err = run(capsys, ["roots", graph_file(universal4), "--depth", "8"])
-    assert code == 5
 
 
 def test_weights_output(graph_file, capsys, star_inf):
@@ -264,6 +271,28 @@ def test_weights_singular_exits_2(graph_file, capsys):
 )
 def test_infinite_weight_exits_2(tmp_path, capsys, text):
     path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 2 and "parse error" in err and not out
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        {"u": 0, "v": 1, "m": None},
+        {"u": 0, "v": 1, "m": 3.0},
+        {"u": 0.0, "v": 1, "m": 3},
+        {"u": 0, "v": 1, "m": "inf", "c": True},
+        {"u": 0, "v": 1, "m": "inf", "c": "2"},
+    ],
+    ids=["m-null", "m-float", "u-float", "c-bool", "c-string"],
+)
+def test_json_value_of_wrong_type_is_parse_error(tmp_path, capsys, edge):
+    """A JSON null is no label: "m": null must not read as an infinite bond."""
+    text = json.dumps({"rank": 2, "edges": [edge]})
+    with pytest.raises(cp.GraphError):
+        cp.parse_graph(text)
+    path = tmp_path / "g.json"
     path.write_text(text)
     code, out, err = run(capsys, ["classify", str(path)])
     assert code == 2 and "parse error" in err and not out
@@ -421,6 +450,70 @@ def test_each_command_takes_only_its_options():
         for name, sub in commands.choices.items()
     }
     assert got == OPTIONS
+
+
+# every bounded flag: its values just outside the bound, and the last ones inside it
+BOUNDS = {
+    "--tol": (["0", "-1", "nan", "inf"], ["1e-300", "1e300"]),
+    "--max-records": (["0"], ["1"]),
+    "--depth": (["0"], ["1"]),
+    "--length": (["-1"], ["0"]),
+    "--min-radius": (["-1e-300", "nan", "inf"], ["0", "1e300"]),
+    "--canvas": (["0"], ["1"]),
+    "--max-rank": (["4", "12"], ["5", "11"]),
+    "--jobs": (["0"], ["1"]),
+}
+
+
+def _bounded_actions():
+    """(command, action) for each option of each subcommand whose type checks a bound."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, a)
+        for name, sub in commands.choices.items()
+        for a in sub._actions
+        if getattr(a.type, "__qualname__", "").startswith("_bounded.")
+    ]
+
+
+BOUNDED = [(name, a.option_strings[-1]) for name, a in _bounded_actions()]
+
+
+def test_bound_table_covers_every_bounded_flag():
+    """Each command's copy of a flag in the table checks its bound, and no other flag does."""
+    table = {(cmd, flag) for cmd, flags in OPTIONS.items() for flag in flags if flag in BOUNDS}
+    assert set(BOUNDED) == table and len(table) == 16
+
+
+def test_help_states_each_flags_bound():
+    """The rule an out-of-range value is refused with is the one the flag's help gives."""
+    for _, action in _bounded_actions():
+        bad, good = BOUNDS[action.option_strings[-1]]
+        for value in good:
+            assert action.type(value) == float(value)
+        for value in bad:
+            with pytest.raises(argparse.ArgumentTypeError) as exc:
+                action.type(value)
+            rule = str(exc.value).removeprefix("must be ").removesuffix(f", got {value}")
+            assert rule in action.help
+
+
+@pytest.mark.parametrize(
+    "cmd, flag, value",
+    [(cmd, flag, value) for cmd, flag in BOUNDED for value in BOUNDS[flag][0]],
+)
+def test_out_of_range_value_is_usage_error(capsys, tmp_path, fig1a, cmd, flag, value):
+    """argparse refuses the value: exit 2 naming the flag, nothing on stdout or in --out."""
+    graph = tmp_path / "g.json"
+    graph.write_text(cp.serialize_graph(fig1a))
+    required = {"roots": ["--depth", "2"], "enum": []}.get(cmd, ["--length", "1"])
+    args = [cmd] if cmd == "enum" else [cmd, str(graph), *required]
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out), f"{flag}={value}"])
+    stdout, err = capsys.readouterr()
+    assert exc.value.code == 2 and f"argument {flag}: " in err
+    assert not stdout and not out.exists()
 
 
 @pytest.mark.parametrize(
