@@ -28,6 +28,7 @@ from .orbits import (
 _ALGEBRAIC_TOL = 1e-9
 _ANGULAR_TOL = 1e-6
 _NUDGE_RETRIES = 3  # frame rotations tried before projecting anyway
+_PAIR_BUDGET = 1 << 16  # products a pair audit holds at once
 
 
 @dataclass(frozen=True)
@@ -282,10 +283,11 @@ def _cluster_report(unit: np.ndarray, ids, b: np.ndarray):
     min_sep = math.inf
     violating: list[tuple[int, int, float]] = []
     deep: list[tuple[int, int, float]] = []
-    chunk = max(1, int(4e6) // k)
+    chunk = max(1, _PAIR_BUDGET // k)
     for lo in range(0, k - 1, chunk):  # the last row has no pair j > i
         hi = min(k, lo + chunk)
-        seps = -(bu[lo:hi] @ unit.T)
+        seps = bu[lo:hi] @ unit.T
+        np.negative(seps, out=seps)
         # row i's pairs j > i are one run of the flat chunk; reduce every run at once
         rows = np.arange(min(hi, k - 1) - lo)
         cuts = np.stack([rows * k + lo + rows + 1, (rows + 1) * k], axis=1).ravel()
@@ -323,7 +325,7 @@ def residual_margins(points, weights, b: np.ndarray) -> np.ndarray:
         return np.full(len(pts), math.inf)
     arr = np.array(pts) @ b
     out = np.empty(arr.shape[0])
-    chunk = max(1, int(4e6) // max(1, len(ids)))
+    chunk = max(1, _PAIR_BUDGET // len(ids))
     for lo in range(0, arr.shape[0], chunk):
         hi = min(arr.shape[0], lo + chunk)
         out[lo:hi] = (arr[lo:hi] @ unit.T).min(axis=1)

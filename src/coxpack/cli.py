@@ -84,12 +84,19 @@ def _read_graph(path: str):
         return load_graph(fh.read())
 
 
+@contextmanager
+def _output(out: str | None):
+    """The write function of the file `out`, or of stdout when out is None."""
+    if not out:
+        yield sys.stdout.write
+        return
+    with _file_error("write", out), open(out, "w") as fh:
+        yield fh.write
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with _file_error("write", out), open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as write:
+        write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -157,33 +164,58 @@ def cmd_classify(args) -> int:
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BLOCK_ROWS = 2048  # records formatted and written at a time
+_TABLE_SIZE = 1 << 18  # float texts a column keeps between blocks: about 20 MB at most
 
 
-def _float_texts(values) -> list[str]:
-    """json.dumps' text for each float of an array, flattened.
+class _FloatTexts:
+    """json.dumps' text for each float of a column's blocks, flattened.
 
-    Each distinct bit pattern is formatted once.  Only 0.1-22% of the
-    values in a roots or weights column of the benchmark's systems are
+    Each distinct bit pattern is formatted once, and its text is kept for
+    the column's later blocks in arrays sorted by bits.  Only 0.1-22% of
+    the values in a roots or weights column of the benchmark's systems are
     distinct, and there this is 4-10 times faster than formatting every
-    value; where no value repeats it costs about the same.  float.__repr__,
-    not repr: numpy 2's repr of a numpy float names its type.
+    value; where no value repeats it costs about the same.  The table
+    starts afresh when a block would take it past _TABLE_SIZE texts, so it
+    stays bounded whatever the document's size.  float.__repr__, not repr:
+    numpy 2's repr of a numpy float names its type.
     """
-    flat = np.ascontiguousarray(values, dtype=float).ravel()
-    bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
-    distinct = bits.view(float)
-    texts = list(map(float.__repr__, distinct.tolist()))
-    if not np.isfinite(distinct).all():
-        texts = [_NONFINITE.get(t, t) for t in texts]
-    return np.array(texts, dtype=object)[where].tolist()
+
+    def __init__(self):
+        self.bits = np.empty(0, dtype=np.uint64)
+        self.texts = np.empty(0, dtype=object)
+
+    def __call__(self, values) -> list[str]:
+        flat = np.ascontiguousarray(values, dtype=float).ravel()
+        bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
+        if len(self.bits) + len(bits) > _TABLE_SIZE:
+            self.__init__()
+        at = np.searchsorted(self.bits, bits)
+        new = np.ones(len(bits), dtype=bool)
+        inside = at < len(self.bits)
+        new[inside] = self.bits[at[inside]] != bits[inside]
+        texts = np.empty(len(bits), dtype=object)
+        texts[~new] = self.texts[at[~new]]
+        fresh = bits[new].view(float)
+        formatted = list(map(float.__repr__, fresh.tolist()))
+        if not np.isfinite(fresh).all():
+            formatted = [_NONFINITE.get(t, t) for t in formatted]
+        texts[new] = formatted
+        if len(self.bits):
+            self.bits = np.insert(self.bits, at[new], bits[new])
+            self.texts = np.insert(self.texts, at[new], texts[new])
+        else:  # a column's first block starts its table
+            self.bits, self.texts = bits, texts
+        return texts[where].tolist()
 
 
-def _list_texts(rows: np.ndarray) -> list[str]:
+def _list_texts(rows: np.ndarray, column: _FloatTexts) -> list[str]:
     """json.dumps(row, indent=1) of each row of a 2-D float array, as a record's value."""
     n = rows.shape[1]
     if not n:
         return ["[]"] * len(rows)
     template = "[\n    " + ",\n    ".join(["%s"] * n) + "\n   ]"
-    texts = iter(_float_texts(rows))
+    texts = iter(column(rows))
     return [template % row for row in zip(*[texts] * n)]
 
 
@@ -191,15 +223,13 @@ def _int_texts(values) -> list[str]:
     return list(map(str, np.asarray(values).tolist()))
 
 
-def _dump_records(head: dict, key: str, columns: dict[str, list]) -> str:
-    """json.dumps({**head, key: records}, indent=1) + "\n", records given as columns.
+def _record_texts(columns: dict[str, list]) -> list[str]:
+    """json.dumps(record, indent=1) of each record, indented as a list item of the document.
 
     `columns` maps each record key, in order, to the JSON text of its value
     in every record, as json.dumps(..., indent=1) writes it inside a
     record.  A None text omits the key from that record; the first key
-    must be present in all.  CPython's json module uses its C encoder only
-    without indent, so orbit documents of thousands of records are filled
-    into a record template instead; the bytes are the same.
+    must be present in all.
     """
     parts, cols = [], []
     for name, col in columns.items():
@@ -211,46 +241,70 @@ def _dump_records(head: dict, key: str, columns: dict[str, list]) -> str:
             parts.append((",\n   " if parts else "   ") + field + "%s")
             cols.append(col)
     template = "  {\n" + "".join(parts) + "\n  }"
-    records = [template % values for values in zip(*cols)]
+    return [template % values for values in zip(*cols)]
+
+
+def _write_records(write, head: dict, key: str, count: int, block) -> None:
+    """write json.dumps({**head, key: records}, indent=1) + "\\n", one block of records at a time.
+
+    block(rows) gives the `count` records' slice `rows` as _record_texts'
+    columns.  It is called for _BLOCK_ROWS records at a time, so only one
+    block's texts are alive at once.  CPython's json module uses its C
+    encoder only without indent, so orbit documents of thousands of
+    records are filled into a record template instead; the bytes are the
+    same, whatever the block size.
+    """
     text = json.dumps({**head, key: []}, indent=1)
-    if records:
-        text = text[: -len("[]\n}")] + "[\n" + ",\n".join(records) + "\n ]\n}"
-    return text + "\n"
+    if not count:
+        write(text + "\n")
+        return
+    write(text[: -len("[]\n}")] + "[\n")
+    for lo in range(0, count, _BLOCK_ROWS):
+        records = _record_texts(block(slice(lo, lo + _BLOCK_ROWS)))
+        write((",\n" if lo else "") + ",\n".join(records))
+    write("\n ]\n}\n")
 
 
 def _projective_rows(vectors: np.ndarray, layers: np.ndarray, b: np.ndarray):
-    """JSON text of each row's projective coordinates, and the max |B(p, p)| per layer.
-
-    A row at infinity reads null.
-    """
+    """Each row's projective coordinates, whether it has them, and the max |B(p, p)| per layer."""
     coords, finite = projective_coords(vectors)
     residuals = np.abs(quadratic_form(b, coords))
     by_layer = {
         str(k): float(residuals[finite & (layers == k)].max()) for k in np.unique(layers[finite])
     }
-    texts = _list_texts(coords)
+    return coords, finite, by_layer
+
+
+def _projective_texts(coords: np.ndarray, finite: np.ndarray, column: _FloatTexts) -> list[str]:
+    """JSON text of each row's projective coordinates; a row at infinity reads null."""
+    texts = _list_texts(coords, column)
     for i in np.flatnonzero(~finite).tolist():
         texts[i] = "null"
-    return texts, by_layer
+    return texts
 
 
 def cmd_roots(args) -> int:
     g = _read_graph(args.graph)
     vectors, depths, heights = _root_columns(g, args.depth, max_records=args.max_records)
-    projective, residual_by_depth = _projective_rows(vectors, depths, g.gram)
+    coords, finite, residual_by_depth = _projective_rows(vectors, depths, g.gram)
     head = {
         "graph": to_compact(g),
         "max_depth": args.depth,
         "count": len(vectors),
         "quadratic_residual_by_depth": residual_by_depth,
     }
-    columns = {
-        "coords": _list_texts(vectors),
-        "depth": _int_texts(depths),
-        "height": _float_texts(heights),
-        "projective": projective,
-    }
-    _emit(_dump_records(head, "records", columns), args.out)
+    coord_texts, height_texts, projective_texts = (_FloatTexts() for _ in range(3))
+
+    def block(rows: slice) -> dict:
+        return {
+            "coords": _list_texts(vectors[rows], coord_texts),
+            "depth": _int_texts(depths[rows]),
+            "height": height_texts(heights[rows]),
+            "projective": _projective_texts(coords[rows], finite[rows], projective_texts),
+        }
+
+    with _output(args.out) as write:
+        _write_records(write, head, "records", len(vectors), block)
     return 0
 
 
@@ -259,7 +313,7 @@ def cmd_weights(args) -> int:
     vectors, lengths, colors, norms, classes = _weight_columns(
         g, args.length, max_records=args.max_records
     )
-    projective, residual_by_length = _projective_rows(vectors, lengths, g.gram)
+    coords, finite, residual_by_length = _projective_rows(vectors, lengths, g.gram)
     head = {
         "graph": to_compact(g),
         "max_length": args.length,
@@ -267,16 +321,22 @@ def cmd_weights(args) -> int:
         "quadratic_residual_by_length": residual_by_length,
     }
     class_text = {k: json.dumps(k.value) for k in VectorClass}
-    columns = {
-        "coords": _list_texts(vectors),
-        "word_length": _int_texts(lengths),
-        "height": _float_texts(vectors.sum(axis=1)),
-        "norm": _float_texts(norms),
-        "class": [class_text[k] for k in classes],
-        "color": _int_texts(colors),
-        "projective": projective,
-    }
-    _emit(_dump_records(head, "records", columns), args.out)
+
+    coord_texts, height_texts, norm_texts, projective_texts = (_FloatTexts() for _ in range(4))
+
+    def block(rows: slice) -> dict:
+        return {
+            "coords": _list_texts(vectors[rows], coord_texts),
+            "word_length": _int_texts(lengths[rows]),
+            "height": height_texts(vectors[rows].sum(axis=1)),
+            "norm": norm_texts(norms[rows]),
+            "class": [class_text[k] for k in classes[rows]],
+            "color": _int_texts(colors[rows]),
+            "projective": _projective_texts(coords[rows], finite[rows], projective_texts),
+        }
+
+    with _output(args.out) as write:
+        _write_records(write, head, "records", len(vectors), block)
     return 0
 
 
@@ -324,19 +384,25 @@ def cmd_pack(args) -> int:
             "n_deep_pairs": len(report.deep_pairs),
         },
     }
-    columns = {
-        "color": _int_texts(colors),
-        "word_length": _int_texts(lengths),
-        "cap_center": _list_texts(packing.cap_centers),
-        "cap_radius": _float_texts(packing.cap_radii),
-        "curvature": _float_texts(packing.curvatures),
-        "curvature_center": _list_texts(packing.curvature_centers),
-        "halfspace_offset": [
-            json.dumps(offset) if half else None
-            for half, offset in zip(packing.halfspace.tolist(), packing.halfspace_offsets)
-        ],
-    }
-    _emit(_dump_records(head, "balls", columns), args.out)
+    halfspace = packing.halfspace
+    center_texts, radius_texts, curvature_texts, kc_texts = (_FloatTexts() for _ in range(4))
+
+    def block(rows: slice) -> dict:
+        return {
+            "color": _int_texts(colors[rows]),
+            "word_length": _int_texts(lengths[rows]),
+            "cap_center": _list_texts(packing.cap_centers[rows], center_texts),
+            "cap_radius": radius_texts(packing.cap_radii[rows]),
+            "curvature": curvature_texts(packing.curvatures[rows]),
+            "curvature_center": _list_texts(packing.curvature_centers[rows], kc_texts),
+            "halfspace_offset": [
+                json.dumps(offset) if half else None
+                for half, offset in zip(halfspace[rows].tolist(), packing.halfspace_offsets[rows])
+            ],
+        }
+
+    with _output(args.out) as write:
+        _write_records(write, head, "balls", len(lengths), block)
     return 0
 
 
@@ -371,8 +437,6 @@ def cmd_tangency(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    out_path = args.out or "census.csv"
-    _check_writable([p for p in (out_path, args.json) if p])
     entries = census_mod.enumerate_level2(max_rank=args.max_rank, zero_tol=args.tol)
     problems = []
     keys = [e.key for e in entries]
@@ -393,14 +457,14 @@ def cmd_enum(args) -> int:
         return EXIT_ENUM_INVARIANT
 
     selected = [e for e in entries if e.strict] if args.strict_only else entries
-    with _file_error("write", out_path):
-        census_mod.write_census_csv(selected, out_path)
+    with _file_error("write", args.out):
+        census_mod.write_census_csv(selected, args.out)
     if args.json:
         with _file_error("write", args.json):
             census_mod.write_census_json(selected, args.json)
     report = census_mod.census_report(selected)
     hist = ",".join(f"{r}:{c}" for r, c in report.rank_histogram().items())
-    print(f"total={report.total} strict={report.strict_total} ranks={hist} out={out_path}")
+    print(f"total={report.total} strict={report.strict_total} ranks={hist} out={args.out}")
     return 0
 
 
@@ -479,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum", parents=[tol], help="census of level-2 graphs")
     p.add_argument("--max-rank", type=_bounded(int, 5, 11), default=11, help="top rank, in 5..11")
-    p.add_argument("--out", default=None, help="CSV file (default census.csv)")
+    p.add_argument("--out", default="census.csv", help="CSV file (default census.csv)")
     p.add_argument("--json", default=None, help="also write a JSON mirror")
     p.add_argument("--strict-only", action="store_true")
     p.add_argument(
@@ -493,6 +557,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a usage error, like argparse's: before the work, and before exits 3-7
+        _check_writable([p for p in (args.out, getattr(args, "json", None)) if p])
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

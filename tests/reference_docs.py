@@ -127,7 +127,7 @@ def separations(spacelike, b):
     k = len(spacelike)
     unit = np.array([w.vector / math.sqrt(w.norm) for w in spacelike]).reshape(k, -1)
     bu = unit @ b
-    chunk = max(1, int(4e6) // k)
+    chunk = max(1, balls_mod._PAIR_BUDGET // k)
     rows, cols, seps = [], [], []
     for lo in range(0, k, chunk):
         block = -(bu[lo : lo + chunk] @ unit.T)

@@ -204,8 +204,9 @@ def test_validate_cluster_packing(universal4):
 def test_validate_cluster_pairs_match_reference(fig1b):
     """Every overlapping and every deep pair, named by weight position.
 
-    fig1b's 3,566 space-like weights at length 7 span four separation chunks;
-    repeating every 700th weight adds deep pairs (separation -1).
+    fig1b's 3,566 space-like weights at length 7, and every 700th of them
+    again, span 199 separation chunks of 18 rows; the repeats add deep pairs
+    (separation -1).
     """
     ws = spacelike_weights(fig1b, 7)
     ws += ws[::700]
@@ -221,9 +222,10 @@ def test_validate_cluster_pairs_match_reference(fig1b):
     assert not report.is_packing
 
 
-def test_validate_cluster_last_chunk_holds_only_the_last_row(universal4):
+def test_validate_cluster_last_chunk_holds_only_the_last_row(universal4, monkeypatch):
     """4,471 balls make five separation chunks of 894 rows and a sixth holding
     only the last row, which has no pair of its own."""
+    monkeypatch.setattr(cp.balls, "_PAIR_BUDGET", 894 * 4471)
     ws = spacelike_weights(universal4, 8)[:4471]
     report = cp.validate_cluster(ws, universal4.gram)
     assert report.is_packing
@@ -261,6 +263,31 @@ def test_residual_margin_decay(universal4):
         pts = cp.limit_sample(universal4, RootSource(d)).points
         eps.append(max(0.0, -float(residual_margins(pts, ws, b).min())))
     assert eps[0] > eps[1] > eps[2]
+
+
+@pytest.mark.parametrize("system", ["universal4", "five_cycle", "fig1b"])
+def test_pair_audits_match_one_chunk(system, request, monkeypatch):
+    """Chunks of a few rows give a one-chunk run's results.
+
+    A product's last bits may depend on the rows BLAS multiplies with it:
+    the margins of five_cycle and fig1b differ from one chunk's in the last
+    bits at a few points, so only universal4's are compared exactly.
+    """
+    g = request.getfixturevalue(system)
+    b = g.gram
+    ws = spacelike_weights(g, 5)
+    pts = [cp.projectivize(r.vector) for r in cp.roots_up_to_depth(g, 6)]
+    pts = [p for p in pts if not p.at_infinity]
+    monkeypatch.setattr(cp.balls, "_PAIR_BUDGET", 1 << 40)
+    report, margins = cp.validate_cluster(ws, b), residual_margins(pts, ws, b)
+    monkeypatch.setattr(cp.balls, "_PAIR_BUDGET", 7 * len(ws))
+    assert cp.validate_cluster(ws, b) == report
+    assert system != "fig1b" or len(report.violating_pairs) == 224
+    monkeypatch.setattr(cp.balls, "_PAIR_BUDGET", 5 * len(ws))
+    chunked = residual_margins(pts, ws, b)
+    if system == "universal4":
+        assert chunked.tobytes() == margins.tobytes()
+    assert np.allclose(chunked, margins, rtol=0, atol=1e-12)
 
 
 def test_project_packing_rotates_off_pole():

@@ -105,6 +105,57 @@ def test_enum_checks_its_outputs_before_the_census(capsys, tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--depth", "11"],
+        ["weights", "--length", "9"],
+        ["pack", "--length", "9"],
+        ["pack", "--length", "9", "--format", "svg"],
+        ["tangency", "--length", "5"],
+        ["classify"],
+    ],
+    ids=lambda argv: "-".join(argv[::2]),
+)
+def test_unwritable_output_exits_before_the_work(
+    graph_file, capsys, tmp_path, monkeypatch, universal4, argv
+):
+    """An unwritable --out exits 2 before the walk or any other work, and creates no file."""
+    from coxpack import cli
+
+    def no_work(*_, **__):
+        raise AssertionError("the command ran")
+
+    for name in ("_root_columns", "_weight_columns", "tangency_graph", "signature"):
+        monkeypatch.setattr(cli, name, no_work)
+    bad = tmp_path / "missing" / "x.json"
+    argv = [argv[0], graph_file(universal4), *argv[1:], "--out"]
+    code, out, err = run(capsys, [*argv, str(bad)])
+    assert code == 2 and err.startswith(f"error: cannot write {bad}: ") and not out
+    assert not bad.parent.exists()
+    code, _, err = run(capsys, [*argv, str(tmp_path)])
+    assert code == 2 and err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("cmd", ["roots", "weights", "pack"])
+def test_failed_orbit_command_leaves_no_file(graph_file, capsys, tmp_path, universal4, cmd):
+    out = tmp_path / "x.json"
+    flag = ["--depth", "8"] if cmd == "roots" else ["--length", "6"]
+    argv = [cmd, graph_file(universal4), *flag, "--max-records", "20", "--out", str(out)]
+    code, _, err = run(capsys, argv)
+    assert code == 5 and "cap" in err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_mid_stream_is_usage_error(graph_file, capsys, universal4):
+    """A write that fails after the first blocks (no space left) still exits 2."""
+    code, out, err = run(
+        capsys, ["roots", graph_file(universal4), "--depth", "6", "--out", "/dev/full"]
+    )
+    assert code == 2 and err.startswith("error: cannot write /dev/full: ") and not out
+
+
 def test_roots_finite(graph_file, capsys):
     code, out, _ = run(capsys, ["roots", graph_file(cp.path_graph([3])), "--depth", "9"])
     doc = json.loads(out)

@@ -5,9 +5,12 @@ json.dumps(doc, indent=1); the command line fills a record template from
 columns.  The two must agree byte for byte.
 """
 
+import functools
 import json
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ from hypothesis import strategies as st
 
 import coxpack as cp
 import reference_docs as ref
+from coxpack import cli
 from coxpack.balls import _check_caps, project_packing
-from coxpack.cli import _dump_records, _float_texts, _int_texts, _list_texts, main
+from coxpack.cli import _FloatTexts, _int_texts, _list_texts, _write_records, main
 
 # The acceptance limit systems at the benchmark's roots depth, weights length
 # and pack length.
@@ -121,6 +125,86 @@ def test_pack_without_balls(tmp_path):
     assert same_text(got, ref.pack_text(g, 4))
 
 
+# -- the block writer: the bytes do not depend on the block size -----------
+
+BLOCKS = [1, 3, cli._BLOCK_ROWS]
+
+
+@functools.cache
+def reference_texts(name: str) -> dict[tuple[str, ...], str]:
+    """The reference document of each of roots, weights and pack on an acceptance system."""
+    text, depth, wlen, plen = SYSTEMS[name]
+    g = cp.parse_compact(text)
+    return {
+        ("roots", "--depth", str(depth)): ref.roots_text(g, depth),
+        ("weights", "--length", str(wlen)): ref.weights_text(g, wlen),
+        ("pack", "--length", str(plen)): ref.pack_text(g, plen),
+    }
+
+
+@pytest.mark.parametrize("block_rows", BLOCKS)
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_bytes_do_not_depend_on_the_block(tmp_path, capsys, monkeypatch, name, block_rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    g = cp.parse_compact(SYSTEMS[name][0])
+    for argv, want in reference_texts(name).items():
+        assert same_text(cli_text(tmp_path, g, list(argv)), want)
+        capsys.readouterr()
+        assert main([argv[0], str(tmp_path / "graph.txt"), *argv[1:]]) == 0
+        assert same_text(capsys.readouterr().out, want)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 6, cli._BLOCK_ROWS])
+def test_edge_documents_do_not_depend_on_the_block(tmp_path, monkeypatch, block_rows):
+    """Null projective rows, half-space rows, no balls, and 6 records: a multiple of 1, 2, 3, 6."""
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    g = cp.path_graph([3, 3])
+    got = cli_text(tmp_path, g, ["roots", "--depth", "9"])
+    assert json.loads(got)["count"] == 6
+    assert same_text(got, ref.roots_text(g, 9))
+    g = cp.parse_compact(ZERO_HEIGHT)
+    assert same_text(cli_text(tmp_path, g, ["weights", "--length", "4"]), ref.weights_text(g, 4))
+    g = cp.parse_compact(NO_BALLS)
+    assert same_text(cli_text(tmp_path, g, ["pack", "--length", "4"]), ref.pack_text(g, 4))
+    # half-spaces, as in test_halfspace_rows_match_reference
+    monkeypatch.setattr(cp.balls, "_ALGEBRAIC_TOL", 0.2)
+    g = cp.parse_compact(SYSTEMS["cycle5"][0])
+    got = cli_text(tmp_path, g, ["pack", "--length", "4"])
+    assert '"halfspace_offset"' in got
+    assert same_text(got, ref.pack_text(g, 4))
+
+
+def test_roots_peak_memory_is_below_its_output(tmp_path, universal4):
+    """The writer holds one block of texts at a time, not the document.
+
+    Writing the whole document at once peaked at about 5 times its size.
+    """
+    graph = tmp_path / "graph.txt"
+    graph.write_text(cp.to_compact(universal4) + "\n")
+    out = tmp_path / "roots.json"
+    tracemalloc.start()
+    try:
+        assert main(["roots", str(graph), "--depth", "9", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 8_000_000
+    assert peak < out.stat().st_size
+
+
+def test_float_texts_keep_a_bounded_table(monkeypatch):
+    floats = _FloatTexts()
+    values = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e22, 0.1]
+    assert floats(values) == [json.dumps(v) for v in values]
+    assert len(floats.bits) == 7 and np.all(floats.bits[:-1] < floats.bits[1:])
+    floats.texts[np.searchsorted(floats.bits, np.float64(1e22).view(np.uint64))] = "kept"
+    assert floats(np.array([[1e22], [2.5]])) == ["kept", "2.5"]
+    assert len(floats.bits) == 8
+    monkeypatch.setattr(cli, "_TABLE_SIZE", 9)
+    assert floats([1e22, 3.5]) == ["1e+22", "3.5"]  # the table starts afresh first
+    assert floats.texts.tolist() == ["3.5", "1e+22"]
+
+
 @pytest.mark.parametrize("cmd", ["roots", "weights", "pack"])
 def test_record_cap_counts_every_record(tmp_path, capsys, universal4, cmd):
     flag = ["--depth", "4"] if cmd == "roots" else ["--length", "3"]
@@ -133,6 +217,18 @@ def test_record_cap_counts_every_record(tmp_path, capsys, universal4, cmd):
 
 
 # -- the writer against json.dumps ------------------------------------------
+
+
+def dump_records(head: dict, key: str, columns: dict, block_rows: int = cli._BLOCK_ROWS) -> str:
+    """_write_records' text for records given as whole columns, block_rows at a time."""
+    parts: list[str] = []
+    count = len(next(iter(columns.values()), []))
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        _write_records(
+            parts.append, head, key, count, lambda rows: {k: v[rows] for k, v in columns.items()}
+        )
+    return "".join(parts)
+
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e22, 0.1, -2.5e-8]
 floats = st.one_of(
@@ -177,13 +273,14 @@ def _columns(rows, width):
         [[0.0] * width if r["projective"] is None else r["projective"] for r in rows],
         dtype=float,
     ).reshape(len(rows), width)
-    proj_texts = _list_texts(projective)
+    table = _FloatTexts()  # shared by the columns, to check texts kept across calls
+    proj_texts = _list_texts(projective, table)
     offsets = [r["halfspace_offset"] for r in rows]
-    offset_texts = _float_texts([0.0 if v is None else v for v in offsets])
+    offset_texts = table([0.0 if v is None else v for v in offsets])
     return {
-        "coords": _list_texts(coords),
+        "coords": _list_texts(coords, table),
         "depth": _int_texts([r["depth"] for r in rows]),
-        "norm": _float_texts([r["norm"] for r in rows]),
+        "norm": table([r["norm"] for r in rows]),
         "class": [json.dumps(r["class"]) for r in rows],
         "projective": [
             "null" if r["projective"] is None else t for r, t in zip(rows, proj_texts)
@@ -193,14 +290,14 @@ def _columns(rows, width):
 
 
 @settings(max_examples=200, deadline=None)
-@given(record_docs())
-def test_writer_matches_json_dumps(doc):
+@given(record_docs(), st.integers(1, 7))
+def test_writer_matches_json_dumps(doc, block_rows):
     head, rows, width = doc
     want_rows = [
         {k: v for k, v in r.items() if k != "halfspace_offset" or v is not None} for r in rows
     ]
     want = json.dumps({**head, "rows": want_rows}, indent=1) + "\n"
-    assert _dump_records(head, "rows", _columns(rows, width)) == want
+    assert dump_records(head, "rows", _columns(rows, width), block_rows) == want
 
 
 def test_writer_special_floats_and_halfspace_row():
@@ -211,7 +308,8 @@ def test_writer_special_floats_and_halfspace_row():
         {"coords": [-0.0, math.nan, 0.1], "depth": 2, "norm": -0.0,
          "class": "time_like", "projective": [1.0, 2.0, 3.0], "halfspace_offset": 0.25},
     ]
-    text = _dump_records(head, "rows", _columns(rows, 3))
+    text = dump_records(head, "rows", _columns(rows, 3))
+    assert dump_records(head, "rows", _columns(rows, 3), block_rows=1) == text
     want_rows = [dict(rows[0]), rows[1]]
     del want_rows[0]["halfspace_offset"]
     assert text == json.dumps({**head, "rows": want_rows}, indent=1) + "\n"
@@ -220,7 +318,7 @@ def test_writer_special_floats_and_halfspace_row():
 
 def test_writer_zero_records():
     head = {"graph": "n=1", "count": 0}
-    assert _dump_records(head, "records", {"coords": [], "depth": []}) == (
+    assert dump_records(head, "records", {"coords": [], "depth": []}) == (
         json.dumps({**head, "records": []}, indent=1) + "\n"
     )
 
