@@ -4,9 +4,10 @@ Candidates are nominated family by family from a catalog of level-1 graphs
 (trees, cycles, and cycles with a pendant edge) plus three simply-laced
 special graphs.  A family is a list of batches: a base graph plus a few free
 vertex pairs, standing for every labeling of those pairs.  The members of
-same-rank batches are one boolean mask over label codes (_members), so a
-candidate is a row of codes, and a CoxeterGraph is built only for the
-candidates that pass numeric level recognition (about 890 of 380k at rank 11).
+the batches of one shape (rank and free-pair count), whatever their
+families, are one boolean mask over label codes (_members), so a candidate
+is a row of codes, and a CoxeterGraph is built only for the candidates that
+pass numeric level recognition (about 890 of 380k at rank 11).
 
 Recognition decides each minor at most once, and only when a live
 candidate reads it.  A graph has level 2 when every two-vertex deletion is
@@ -18,17 +19,16 @@ two-vertex deletion keeps depends only on the labels of the free pairs
 inside it, so each deletion of each batch has a table of those
 sub-labelings, and every candidate reads its verdict by mixed-radix code; a
 table row is bitwise the candidate's own minor, so the verdicts are exactly
-those of a per-candidate filter.  The tables of all batches of one family
-and rank are decided in waves of increasing inside-pair count, each wave in
-blocks of rows, and a wave decides only the rows that some candidate still
-alive reads: a candidate that fails a small table costs no row of a larger
-one.  The one-vertex deletions are then decided in one stack for the
-candidates left.  The level-1 catalog
-decides levels 0 and 1 on Gram stacks and keys only the graphs it keeps;
-level is invariant under isomorphism, so the first representative of each
-kept class is unchanged.  Every survivor is verified to have level 2 from
-its own Gram matrix, one stack per rank, before survivors are deduplicated
-by canonical key.  The census runs in one process.
+those of a per-candidate filter.  The tables of all batches of one shape
+are decided in waves of increasing inside-pair count, each wave in blocks
+of rows, and a wave decides only the rows that some candidate still alive
+reads: a candidate that fails a small table costs no row of a larger one.
+The one-vertex deletions are then decided in one stack for the candidates
+left.  The level-1 catalog decides levels 0 and 1 on Gram stacks and keys
+only the graphs it keeps; level is invariant under isomorphism, so the first
+representative of each kept class is unchanged.  Every survivor is verified
+to have level 2 from its own Gram matrix, one stack per rank, before
+survivors are deduplicated by canonical key.  The census runs in one process.
 """
 
 from __future__ import annotations
@@ -106,45 +106,31 @@ def _joined(g: CoxeterGraph, *vs: int) -> Batch:
 
 
 def _labeled(base: CoxeterGraph, pairs, codes) -> CoxeterGraph:
-    """The batch member that gives free pair i the label of code codes[i];
-    codes past the last pair are padding."""
+    """The batch member that gives free pair i the label of code codes[i]."""
     return CoxeterGraph(
         base.rank, base.edges + tuple((u, v, _LABELS[c]) for (u, v), c in zip(pairs, codes))
     )
 
 
-def _padded(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Same-rank batches as arrays, padded to their largest free-pair count.
-
-    Batch b has the base Gram matrix grams[b] (zero at its free pairs) and
-    free pair p at the vertices uv[b, p] where free[b, p] holds.
-    """
-    sizes = np.array([len(pairs) for _, pairs in batches])
-    free = np.arange(sizes.max()) < sizes[:, None]
-    uv = np.zeros(free.shape + (2,), dtype=int)
-    uv[free] = np.array([p for _, pairs in batches for p in pairs], dtype=int).reshape(-1, 2)
-    return np.stack([base.gram for base, _ in batches]), uv, free
+def _stacked(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
+    """Batches of one shape as arrays: batch b has the base Gram matrix
+    grams[b] (zero at its free pairs) and free pair p at the vertices uv[b, p]."""
+    uv = np.array([pairs for _, pairs in batches], dtype=int).reshape(len(batches), -1, 2)
+    return np.stack([base.gram for base, _ in batches]), uv
 
 
-def _members(free: np.ndarray) -> np.ndarray:
-    """Every member of the batches with free pairs free[b, p], as one boolean
-    mask shaped (batch, radix, ..., radix), one code axis per column of free.
-
-    A padding pair holds code 0, so np.nonzero lists the members in batch
-    order and each batch's labelings in itertools.product order.  Built one
-    pair at a time by broadcasting, with no table of codes.
-    """
-    mask = np.ones(len(free), dtype=bool)
-    for column in free.T:
-        allowed = column[:, None] | (np.arange(len(_LABELS)) == 0)  # (batch, radix)
-        mask = mask[..., None] & np.expand_dims(allowed, tuple(range(1, mask.ndim)))
-    return mask
+def _members(uv: np.ndarray) -> np.ndarray:
+    """Every member of the batches with free pairs uv, as one all-true boolean
+    mask shaped (batch, radix, ..., radix), one code axis per free pair: np.nonzero
+    lists the members in batch order and each batch's labelings in product order."""
+    return np.ones(uv.shape[:1] + (len(_LABELS),) * uv.shape[1], dtype=bool)
 
 
-def _set_labels(stack: np.ndarray, at: np.ndarray, mask: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _set_labels(stack: np.ndarray, at: np.ndarray, codes: np.ndarray, mask=True) -> np.ndarray:
     """Write the Gram entry of label code codes[i, p] into stack[i] at the
-    symmetric places at[i, p] wherever mask[i, p] holds; returns the stack."""
-    i, p = np.nonzero(mask)
+    symmetric places at[i, p] wherever mask[i, p] holds (everywhere by
+    default); returns the stack."""
+    i, p = np.nonzero(np.broadcast_to(mask, codes.shape))
     x, y = at[i, p].T
     stack[i, x, y] = stack[i, y, x] = _VALUES[codes[i, p]]
     return stack
@@ -384,17 +370,17 @@ def _checked(batches: list[Batch]) -> list[Batch]:
 
 
 def _gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of every member of the _checked batches (all of one rank),
+    """Gram matrices of every member of the _checked batches of one shape,
     bitwise their CoxeterGraph.gram, and the members, np.argwhere(_members).
 
     The level-1 catalog decides its levels on these stacks; tests filter the
-    nomination stacks with a per-candidate eigvalsh filter as the reference
-    for _rank_survivors.
+    nomination stacks of each shape with a per-candidate eigvalsh filter as
+    the reference for _rank_survivors.
     """
-    grams, uv, free = _padded(_checked(batches))
-    members = np.argwhere(_members(free))
+    grams, uv = _stacked(_checked(batches))
+    members = np.argwhere(_members(uv))
     b, codes = members[:, 0], members[:, 1:]
-    return _set_labels(grams[b], uv[b], free[b], codes), members
+    return _set_labels(grams[b], uv[b], codes), members
 
 
 # ---------------------------------------------------------------------------
@@ -408,33 +394,33 @@ def _gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
-    """Label codes of the level-2 members of same-rank batches, one array per batch.
+    """Label codes of the level-2 members of batches of one shape (rank and
+    free-pair count), one array per batch.
 
     Every two-vertex deletion must be positive semidefinite, and its minor
     depends only on the labels of the free pairs inside it, so each
     deletion of a batch has a table with one row per labeling of those
     pairs.  The members alive are one boolean array ok, the _members mask,
     and read a deletion's table by mixed-radix code: its verdicts broadcast
-    along the pairs outside, padding pairs included.  Tables are decided in
-    waves of increasing inside-pair count, and a wave decides only the rows
-    some member still alive reads, in blocks of _EIG_CHUNK rows across
-    batches and deletions.  A member dies at a failing row; the rows it
-    alone would read are never decided.  Some one-vertex deletion must then
-    fail, decided in one call on the Gram matrices of the members left; by
-    interlacing, the full matrix then fails too and needs no test of its own.
+    along the pairs outside.  Tables are decided in waves of increasing
+    inside-pair count, and a wave decides only the rows some member still
+    alive reads, in blocks of _EIG_CHUNK rows across batches and deletions.
+    A member dies at a failing row; the rows it alone would read are never
+    decided.  Some one-vertex deletion must then fail, decided in one call
+    on the Gram matrices of the members left; by interlacing, the full
+    matrix then fails too and needs no test of its own.
     """
-    radix = len(_LABELS)
-    grams, uv, free = _padded(batches)
-    n, width = grams.shape[-1], free.shape[1]
+    grams, uv = _stacked(batches)
+    n, width = grams.shape[-1], uv.shape[1]
     keeps = np.array(list(combinations(range(n), n - 2)))
     kept = np.zeros((len(keeps), n), dtype=bool)
     kept[np.arange(len(keeps))[:, None], keeps] = True
     # by (batch, deletion, free pair): whether the pair is inside, and its place in the minor
-    inside = kept[:, uv].all(axis=-1).transpose(1, 0, 2) & free[:, None]
+    inside = kept[:, uv].all(axis=-1).transpose(1, 0, 2)
     at = (np.cumsum(kept, axis=1) - 1)[:, uv].transpose(1, 0, 2, 3)
     masks = inside @ (1 << np.arange(width))
     counts = inside.sum(axis=-1)
-    ok = _members(free)
+    ok = _members(uv)
     for c in range(width + 1):
         # wave c: each deletion with c pairs inside, each row a live member reads
         rows, reads = [], []
@@ -456,21 +442,21 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
             bb, dd = b[lo : lo + _EIG_CHUNK], d[lo : lo + _EIG_CHUNK]
             keep = keeps[dd]
             minors = grams[bb[:, None, None], keep[:, :, None], keep[:, None, :]]
-            _set_labels(minors, at[bb, dd], inside[bb, dd], codes[lo : lo + _EIG_CHUNK])
+            _set_labels(minors, at[bb, dd], codes[lo : lo + _EIG_CHUNK], inside[bb, dd])
             verdicts.append(minors_psd(minors, 0, zero_tol))
         # a member reading a failing row dies
         fails = ~np.concatenate(verdicts)
         ends = np.cumsum([len(row[0]) for row in rows])
         for (outside, where), failed in zip(reads, np.split(fails, ends[:-1])):
-            bad = np.zeros((len(batches),) + (radix,) * (width - len(outside)), dtype=bool)
+            bad = np.zeros(ok.shape[: 1 + width - len(outside)], dtype=bool)
             bad[tuple(w[failed] for w in where)] = True
             ok &= ~np.expand_dims(bad, outside)
 
     # the members left, in batch order, to the one-vertex stage
     alive = np.argwhere(ok)
     b, codes = alive[:, 0], alive[:, 1:].astype(np.int8)
-    fails = ~minors_psd(_set_labels(grams[b], uv[b], free[b], codes), 1, zero_tol)
-    return [codes[fails & (b == i), :k] for i, k in enumerate(free.sum(axis=1).tolist())]
+    fails = ~minors_psd(_set_labels(grams[b], uv[b], codes), 1, zero_tol)
+    return [codes[fails & (b == i)] for i in range(len(batches))]
 
 
 def _by_rank(graphs: list[CoxeterGraph], decide) -> np.ndarray:
@@ -511,22 +497,25 @@ def _make_entry(g: CoxeterGraph, key: bytes, family: Family, strict: bool) -> Ce
     )
 
 
-def _family_survivors(
-    family: Family, level1: list[CoxeterGraph], max_rank: int, zero_tol: float
-) -> list[CoxeterGraph]:
-    """Candidates of one family that pass recognition, in nomination order.
+def _survivors(
+    level1: list[CoxeterGraph], max_rank: int, zero_tol: float
+) -> list[tuple[Family, CoxeterGraph]]:
+    """Candidates that pass recognition, tagged with their family, in nomination order.
 
     Candidates are filtered as label codes, the _checked batches of each
-    rank together; only survivors become graphs.
+    shape (rank and free-pair count) together, whatever their families;
+    only survivors become graphs.
     """
-    batches = _checked(
-        [b for b in _nomination_batches(family, level1) if 5 <= b[0].rank <= max_rank]
-    )
+    tagged = [
+        (f, b) for f in Family for b in _nomination_batches(f, level1) if 5 <= b[0].rank <= max_rank
+    ]
+    batches = _checked([b for _, b in tagged])
+    shapes = [(base.rank, len(pairs)) for base, pairs in batches]
     codes: dict[int, np.ndarray] = {}
-    for n in sorted({base.rank for base, _ in batches}):
-        idx = [i for i, (base, _) in enumerate(batches) if base.rank == n]
+    for shape in sorted(set(shapes)):
+        idx = [i for i, s in enumerate(shapes) if s == shape]
         codes.update(zip(idx, _rank_survivors([batches[i] for i in idx], zero_tol)))
-    return [_labeled(*batch, row) for i, batch in enumerate(batches) for row in codes[i].tolist()]
+    return [(f, _labeled(*b, row)) for i, (f, b) in enumerate(tagged) for row in codes[i].tolist()]
 
 
 def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> list[CensusEntry]:
@@ -540,9 +529,7 @@ def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> 
     if not 5 <= max_rank <= 11:
         raise ValueError(f"max_rank must lie in 5..11, got {max_rank}")
     level1 = enumerate_level1(min(10, max_rank - 1), zero_tol)
-    survivors = [
-        (family, g) for family in Family for g in _family_survivors(family, level1, max_rank, zero_tol)
-    ]
+    survivors = _survivors(level1, max_rank, zero_tol)
     _check_level([g for _, g in survivors], 2, zero_tol, "recognition accepted {} but level != 2")
     firsts: dict[bytes, tuple[Family, CoxeterGraph]] = {}
     for family, g in survivors:

@@ -18,7 +18,6 @@ from coxpack.census import (
     ADMISSIBLE_LABELS,
     Family,
     _catalog_level01,
-    _family_survivors,
     _gram_stack,
     _is_cycle,
     _is_path,
@@ -30,6 +29,7 @@ from coxpack.census import (
     _nomination_batches,
     _rank_survivors,
     _specials,
+    _survivors,
     census_report,
     enumerate_level1,
     enumerate_level2,
@@ -201,24 +201,32 @@ def test_nominate_tree_count(level1):
     assert len(cands) == t.rank * 4
 
 
+@pytest.fixture(scope="module")
+def survivors_6(level1_5):
+    """The tagged survivors of enumerate_level2(max_rank=6) at each tolerance."""
+    return {tol: _survivors(level1_5, 6, tol) for tol in TOLS}
+
+
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-def test_gram_stacks_match_nominate(level1_5, family):
-    """The batches' Gram stacks are the candidates' Gram matrices, bitwise and in order,
-    and the memoized survivors are the reference filter's at every tolerance."""
-    batches = list(_nomination_batches(family, level1_5))
+def test_gram_stacks_match_nominate(level1_5, survivors_6, family):
+    """The Gram stack of each shape's batches is the candidates' Gram matrices,
+    bitwise and in order, and the family's tagged survivors are the reference
+    filter's at every tolerance."""
+    batches = [b for b in _nomination_batches(family, level1_5) if b[0].rank in (5, 6)]
     graphs = list(nominate(family, level1_5, range(5, 7)))
-    for n in (5, 6):
-        want = [g.gram for g in graphs if g.rank == n]
-        group = [b for b in batches if b[0].rank == n]
-        if not group:
-            assert not want
-            continue
-        got, _ = _gram_stack(group)
-        assert got.shape == (len(want), n, n)
+    sizes = [4 ** len(pairs) for _, pairs in batches]
+    assert sum(sizes) == len(graphs)
+    first = np.cumsum([0] + sizes)
+    for shape in sorted({(base.rank, len(pairs)) for base, pairs in batches}):
+        group = [i for i, (base, pairs) in enumerate(batches) if (base.rank, len(pairs)) == shape]
+        want = [g.gram for i in group for g in graphs[first[i] : first[i + 1]]]
+        got, _ = _gram_stack([batches[i] for i in group])
+        assert got.shape == (len(want), shape[0], shape[0])
         assert got.tobytes() == np.stack(want).tobytes()
     # survivors are rebuilt as the same graphs, in the same order
     for tol in TOLS:
-        assert _family_survivors(family, level1_5, 6, tol) == filter_level2(graphs, tol)
+        got = [g for f, g in survivors_6[tol] if f is family]
+        assert got == filter_level2(graphs, tol)
 
 
 @st.composite
@@ -247,15 +255,14 @@ def table_rows(batches) -> int:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batch_survivors_match_reference_filter(data):
-    """Batches of one rank with mixed free-pair counts, decided together in
+    """Batches of one shape (rank and free-pair count), decided together in
     waves and in table blocks that cross batch boundaries, keep the members
-    the per-candidate filter keeps, at every tolerance.  A batch of 6
-    free pairs has members that die early, so later waves skip their rows."""
+    the per-candidate filter keeps, at every tolerance.  Batches of 6 free
+    pairs have members that die early, so later waves skip their rows."""
     n = data.draw(st.integers(5, 8), label="rank")
-    batches = data.draw(st.lists(batches_of_rank(n), min_size=2, max_size=4), label="batches")
-    if data.draw(st.booleans(), label="big batch"):
-        big = data.draw(batches_of_rank(n, max_pairs=6, min_pairs=6), label="big")
-        batches.insert(data.draw(st.integers(0, len(batches)), label="at"), big)
+    k = data.draw(st.integers(1, 6), label="free pairs")
+    batch = batches_of_rank(n, max_pairs=k, min_pairs=k)
+    batches = data.draw(st.lists(batch, min_size=2, max_size=4 if k < 6 else 2), label="batches")
     radix = len(ADMISSIBLE_LABELS)
     rows = table_rows(batches)
     chunk = data.draw(st.integers(1, rows - 1), label="block rows")
@@ -316,12 +323,13 @@ def test_census_kernel_work_bound(monkeypatch):
     One minor per candidate and deletion is 1,271,785.  Deciding every row
     of the two-vertex deletion tables took 92,172 matrices in all; deciding
     the tables in waves, only the rows a live candidate reads, takes 49,847.
-    Each family's tables of one rank are decided in blocks per wave, and
-    each rank's survivors are verified on one stack: 80 eigvalsh calls (one
-    minors_psd call per deletion and batch took 9,734).  With the Cholesky
-    screen on every stack, however small, no matrix reaches eigvalsh at any
-    of the three tolerances: every census decision is certified at a margin
-    of tol/2.
+    The tables of each shape's batches (rank and free-pair count, whatever
+    their families) are decided in blocks per wave, and each rank's
+    survivors are verified on one stack: 58 eigvalsh calls (80 with a call
+    per family and rank; one minors_psd call per deletion and batch took
+    9,734).  With the Cholesky screen on every stack, however small, no
+    matrix reaches eigvalsh at any of the three tolerances: every census
+    decision is certified at a margin of tol/2.
     """
     matrices, calls, eigen = [0], [0], [0]
     eigvalsh, decide = np.linalg.eigvalsh, forms._decide
@@ -351,10 +359,10 @@ def test_census_kernel_work_bound(monkeypatch):
 
 
 def test_census_member_mask_stays_small():
-    """enumerate_level2(max_rank=8) peaks at 2.5-3.6 MB under tracemalloc.
+    """enumerate_level2(max_rank=8) peaks at about 4.1 MB under tracemalloc.
 
-    The members of a batch are one boolean mask built by broadcasting;
-    building it from a table of every member's label codes peaks near 26 MB.
+    The members of the batches of one shape are one boolean mask; building
+    it from a table of every member's label codes peaks near 26 MB.
     """
     tracemalloc.start()
     try:
@@ -376,6 +384,24 @@ NOMINATED_AT_RANK11 = {
     Family.CYCLE_TWO_TAILS: 184,
     Family.TREE: 1_000,
 }
+
+
+def test_census_decides_each_shape_once(monkeypatch, level1):
+    """enumerate_level2(max_rank=11) calls _rank_survivors once per shape
+    (rank and free-pair count) of its batches, whatever their families: 23
+    calls, where one call per family and rank took 36."""
+    shapes = []
+    decide = census._rank_survivors
+
+    def recording(batches, zero_tol):
+        shapes.append({(base.rank, len(pairs)) for base, pairs in batches})
+        return decide(batches, zero_tol)
+
+    monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1)
+    monkeypatch.setattr(census, "_rank_survivors", recording)
+    assert len(enumerate_level2(max_rank=11)) == 326
+    assert all(len(group) == 1 for group in shapes)
+    assert len(shapes) == len(set().union(*shapes)) == 23
 
 
 def test_nomination_counts_at_rank11(level1):
@@ -411,7 +437,7 @@ def test_census_builds_graphs_only_for_survivors(monkeypatch, level1_5):
     """Rejected candidates (51,160 nominated at max_rank 6) never become graphs."""
     n_batches = sum(1 for f in Family for _ in _nomination_batches(f, level1_5))
     counts = {"graphs": 0, "survivors": 0}
-    init, survivors = cp.CoxeterGraph.__post_init__, census._family_survivors
+    init, survivors = cp.CoxeterGraph.__post_init__, census._survivors
 
     def counting_init(self):
         counts["graphs"] += 1
@@ -423,7 +449,7 @@ def test_census_builds_graphs_only_for_survivors(monkeypatch, level1_5):
         return out
 
     monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
-    monkeypatch.setattr(census, "_family_survivors", counting_survivors)
+    monkeypatch.setattr(census, "_survivors", counting_survivors)
     monkeypatch.setattr(cp.CoxeterGraph, "__post_init__", counting_init)
     assert len(enumerate_level2(max_rank=6)) == 255
     # each batch builds its base and its validated first member, and each
@@ -434,14 +460,14 @@ def test_census_builds_graphs_only_for_survivors(monkeypatch, level1_5):
 def test_census_rejects_a_survivor_of_level_1(monkeypatch, level1_5, tmp_path, capsys):
     """A survivor that is not of level 2 stops the census, naming the graph."""
     bad = next(g for g in level1_5 if g.rank == 5)
-    survivors = census._family_survivors
+    survivors = census._survivors
 
-    def injected(family, *args):
-        out = survivors(family, *args)
-        return out[:3] + [bad] + out[3:] if family is Family.TREE else out
+    def injected(*args):
+        out = survivors(*args)
+        return out[:3] + [(Family.TREE, bad)] + out[3:]
 
     monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
-    monkeypatch.setattr(census, "_family_survivors", injected)
+    monkeypatch.setattr(census, "_survivors", injected)
     with pytest.raises(cp.InconsistencyError, match=re.escape(cp.to_compact(bad))):
         enumerate_level2(max_rank=6)
     assert main(["enum", "--max-rank", "6", "--out", str(tmp_path / "census.csv")]) == 3
