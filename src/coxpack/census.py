@@ -46,7 +46,7 @@ from .forms import _EIG_CHUNK, DEFAULT_ZERO_TOL, _levels, fundamental_weights, m
 from .graphs import (
     CoxeterGraph,
     EdgeLabel,
-    canonical_key,
+    canonical_keys,
     complete_graph,
     cycle_graph,
     to_compact,
@@ -187,7 +187,8 @@ def _path_order(g: CoxeterGraph) -> list[int]:
 # level-0 path with its ends joined to a new vertex, and a level-1 tailed
 # cycle hangs a pendant edge on an unlabeled (all-3) cycle, the only
 # positive-semidefinite cycles.  Each growth step decides levels 0 and 1 on
-# one Gram stack and builds and keys only the graphs of level <= 1.
+# one Gram stack and builds only the graphs of level <= 1, and keys them in
+# one canonical_keys call.
 # ---------------------------------------------------------------------------
 
 
@@ -216,8 +217,8 @@ def _catalog_level01(max_n: int, zero_tol: float):
     for k in range(1, max_n):
         grown: dict[bytes, CoxeterGraph] = {}
         batches = [_joined(base, v) for base in l0_trees[k] for v in range(k)]
-        for cand, lv in _levels01(batches, zero_tol):
-            key = canonical_key(cand)
+        kept = list(_levels01(batches, zero_tol))
+        for key, (cand, lv) in zip(canonical_keys([cand for cand, _ in kept]), kept):
             if key not in grown and key not in l1_trees:
                 (grown if lv == 0 else l1_trees)[key] = cand
         l0_trees[k + 1] = list(grown.values())
@@ -227,9 +228,9 @@ def _catalog_level01(max_n: int, zero_tol: float):
     l1_cycles: dict[bytes, CoxeterGraph] = {}
     for k in range(2, max_n):
         batches = [_joined(base, *_leaves(base)) for base in l0_paths[k]]
-        for cand, lv in _levels01(batches, zero_tol):
-            if lv == 1:
-                l1_cycles.setdefault(canonical_key(cand), cand)
+        cands = [cand for cand, lv in _levels01(batches, zero_tol) if lv == 1]
+        for key, cand in zip(canonical_keys(cands), cands):
+            l1_cycles.setdefault(key, cand)
 
     l1_tailed: list[CoxeterGraph] = []
     for m in range(3, max_n):
@@ -259,7 +260,8 @@ def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> lis
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
     _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, zero_tol)
     keyed = [*l1_trees.items(), *l1_cycles.items()]
-    keyed += [(canonical_key(g), g) for g in l1_tailed + _specials() if g.rank <= max_n]
+    rest = [g for g in l1_tailed + _specials() if g.rank <= max_n]
+    keyed += zip(canonical_keys(rest), rest)
     _check_level([g for _, g in keyed], 1, zero_tol, "catalog graph {} is not level 1")
     out: dict[bytes, CoxeterGraph] = {}
     for key, g in keyed:
@@ -532,8 +534,8 @@ def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> 
     survivors = _survivors(level1, max_rank, zero_tol)
     _check_level([g for _, g in survivors], 2, zero_tol, "recognition accepted {} but level != 2")
     firsts: dict[bytes, tuple[Family, CoxeterGraph]] = {}
-    for family, g in survivors:
-        firsts.setdefault(canonical_key(g), (family, g))
+    for key, (family, g) in zip(canonical_keys([g for _, g in survivors]), survivors):
+        firsts.setdefault(key, (family, g))
     graphs = [g for _, g in firsts.values()]
     strict = _by_rank(graphs, lambda grams: minors_psd(grams, 2, zero_tol, finite=True))
     entries = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -69,10 +70,6 @@ class EdgeLabel:
         if self.m is not None:
             return str(self.m)
         return "inf" if self.c == 1.0 else f"inf({self.c!r})"
-
-
-# token used for an absent edge; sorts after every real label
-_NO_EDGE = (2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,120 +190,211 @@ def induced_subgraph(g: CoxeterGraph, keep) -> CoxeterGraph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form.  Individualization-refinement with automorphism pruning:
-# exact for edge-labeled graphs, cheap at rank <= 32 and trivial at the
-# census sizes (rank <= 11).  Refinement signs a vertex by its colour and
-# its edges alone, as the sorted codes tokcode * n + colour of its
-# neighbours and a sentinel that ranks after every edge.  These signatures
-# order vertices exactly as full rows of (token, colour) pairs over all
-# other vertices would: non-edges sort after every edge, so the sentinel
-# puts a longer neighbour list first, and the non-neighbours' colours
-# follow from the colour histogram.  So the colourings, the search tree and
-# the key are those of the full rows.
+# Canonical form.  Individualization-refinement, exact for edge-labeled
+# graphs, with the search tree of every graph of one rank walked breadth
+# first in numpy (McKay & Piperno, Practical graph isomorphism II, 2014).
+#
+# Refinement signs a vertex by its colour and its edges alone, as the sorted
+# codes tok * n + colour of its neighbours, with one sentinel that ranks
+# after every edge code at its non-edges and on the diagonal.  These
+# signatures order vertices exactly as full rows of (token, colour) pairs
+# over all other vertices would: non-edges sort after every edge, so the
+# sentinel puts a longer neighbour list first, and the non-neighbours'
+# colours follow from the colour histogram.  Token ranks are taken over all
+# the graphs keyed together; each graph's own ranks are a monotone
+# relabelling of them, so they order signatures the same way.  A round
+# ranks each node's signatures; a node is refined when its cell count stops
+# growing, and its colours are then the ranks of its cells.
+#
+# A node's target cell is its smallest colour c with two or more vertices.
+# Its children individualize each vertex v of the cell in turn: v keeps
+# colour c and every other vertex of colour >= c moves up by one, the ranks
+# of the split 2c + 1, with 2c for v.  A discrete colouring is a leaf; its
+# encoding is the upper triangle of the token matrix in colour order, and
+# the key is the least encoding over the leaves.
+#
+# Sibling pruning: each child dives along its first path, individualizing
+# the lowest vertex of its target cell until the colouring is discrete, and
+# of the siblings whose dive leaves encode alike only the first is kept.
+# Equal encodings of leaves lambda_1, lambda_2 (vertex -> position) give an
+# automorphism sigma = lambda_2^-1 o lambda_1.  Refinement preserves the
+# order of cells, so every leaf below a node puts each of the node's cells
+# in the same block of positions: sigma preserves the parent colouring and
+# maps v_1 to v_2.  It then maps the subtree of v_1 onto that of v_2 with
+# the same encodings, so pruning never changes the least leaf.
 # ---------------------------------------------------------------------------
+
+
+# graphs searched together: bounds the working set, which grows with the
+# nodes of a level (about 0.3 MB for 128 census survivors of rank 5)
+_KEY_BLOCK = 128
 
 
 def canonical_key(g: CoxeterGraph) -> bytes:
     """Deterministic byte string; equal exactly for isomorphic labeled graphs."""
-    n = g.rank
-    if n == 1:
-        return b"1:"
+    return canonical_keys([g])[0]
 
-    tokens = [lab.token() for _, _, lab in g.edges]
-    tok = [[_NO_EDGE] * n for _ in range(n)]
-    # tokcode[t] is t's rank among the sorted edge tokens, times n
-    tokcode = {t: i * n for i, t in enumerate(sorted(set(tokens)))}
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, _), t in zip(g.edges, tokens):
-        tok[u][v] = tok[v][u] = t
-        nbrs[u].append((tokcode[t], v))
-        nbrs[v].append((tokcode[t], u))
-    sentinel = len(tokcode) * n  # the no-edge rank, after every edge code
 
-    def refine(colors: list[int]) -> list[int]:
-        cells = len(set(colors))
+def canonical_keys(graphs: Sequence[CoxeterGraph]) -> list[bytes]:
+    """canonical_key of each graph, in input order; graphs of one rank are searched together."""
+    tokens = sorted({lab.token() for g in graphs for _, _, lab in g.edges})
+    code = {t: i for i, t in enumerate(tokens)}
+    texts = [f"m{int(c)}" if kind == 0 else f"i{c!r}" for kind, c in tokens] + ["-"]
+    keys = [b""] * len(graphs)
+    for n in sorted({g.rank for g in graphs}):
+        same = [i for i, g in enumerate(graphs) if g.rank == n]
+        for lo in range(0, len(same), _KEY_BLOCK):
+            idx = same[lo : lo + _KEY_BLOCK]
+            edges = np.fromiter(
+                (x for j, i in enumerate(idx) for u, v, lab in graphs[i].edges
+                 for x in (j, u, v, code[lab.token()])),
+                dtype=np.int64,
+            )
+            j, u, v, t = edges.reshape(-1, 4).T
+            tok = np.full((len(idx), n, n), len(tokens))
+            tok[j, u, v] = tok[j, v, u] = t
+            for i, enc in zip(idx, _KeySearch(tok, len(tokens)).least_leaves(), strict=True):
+                keys[i] = f"{n}:{'|'.join(texts[t] for t in enc.tolist())}".encode()
+    return keys
+
+
+class _KeySearch:
+    """The search trees of a (graph, n, n) stack of token ranks, `absent` at non-edges.
+
+    A node is a colouring, one (n,) row of a (node, n) array, with the index
+    of its graph in a parallel `owner` array.
+    """
+
+    def __init__(self, tok: np.ndarray, absent: int):
+        self.tok, self.n = tok, tok.shape[-1]
+        self.edge = tok < absent
+        self.base = np.where(self.edge, tok * self.n, absent * self.n)
+        # signature columns past the largest degree hold the sentinel in every row
+        self.width = int(self.edge.sum(axis=2).max())
+        self.code_bits = max(absent * self.n, 1).bit_length()
+        self.tok_bits = max(absent, 1).bit_length()
+
+    def least_leaves(self) -> np.ndarray:
+        """Each graph's least leaf encoding, walking the trees one level at a time."""
+        owner = np.arange(len(self.tok))
+        nodes = np.zeros((len(owner), self.n), dtype=np.int64)
+        nodes = self.refine(nodes, np.ones_like(owner), owner)
+        encs, owners = [], []
+        while len(nodes):
+            target = _targets(nodes)
+            leaf = target < 0
+            encs.append(self.encode(nodes[leaf], owner[leaf]))
+            owners.append(owner[leaf])
+            # a leaf's target is -1, so only the other nodes have children
+            parent, v = np.nonzero(nodes == target[:, None])
+            owner = owner[parent]
+            kids = self.refine(*_split(nodes[parent], target[parent], v), owner)
+            keep = _first_siblings(parent, self.encode(self.dive(kids, owner), owner), self.tok_bits)
+            nodes, owner = kids[keep], owner[keep]
+        owner, enc = np.concatenate(owners), np.concatenate(encs)
+        order, _ = _lex_order(owner, enc, self.tok_bits)
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = owner[order[1:]] != owner[order[:-1]]
+        return enc[order[first]]
+
+    def refine(self, colors: np.ndarray, cells: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Each node's colouring refined until its cell count stops growing, as cell ranks.
+
+        A refined colouring is a fixed point, so a row that is done is refined
+        again, unchanged, until every row is done.
+        """
+        n = self.n
+        base, edge = self.base[owner], self.edge[owner]
+        node = np.arange(len(colors))[:, None] * n
         while True:
-            sigs = [
-                (colors[v], *sorted([code + colors[u] for code, u in nbrs[v]]), sentinel)
-                for v in range(n)
-            ]
-            order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            colors = [order[s] for s in sigs]
-            # each signature starts with its colour, so no new cell means a
-            # stable partition; its colours are now ranks and stay as they are
-            if len(order) == cells:
+            codes = base + edge * colors[:, None, :]
+            codes.sort(axis=2)
+            cols = codes[:, :, : self.width].reshape(len(colors) * n, self.width)
+            order, new = _lex_order((node + colors).ravel(), cols, self.code_bits)
+            ranks = np.cumsum(new).reshape(-1, n)
+            ranks -= ranks[:, :1]  # the rows of a node are n consecutive ones in sorted order
+            colors = np.empty_like(colors)
+            colors.reshape(-1)[order] = ranks.reshape(-1)
+            count = ranks[:, -1] + 1
+            if ((count == cells) | (count == n)).all():
                 return colors
-            cells = len(order)
+            cells = count
 
-    def encode(perm: list[int]) -> tuple:
-        return tuple(
-            tok[perm[i]][perm[j]] for i in range(n) for j in range(i + 1, n)
-        )
+    def dive(self, colors: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """The first-path leaf below each node.
 
-    best: dict = {"enc": None, "perm": None}
-    autos: list[list[int]] = []
+        A discrete colouring individualizes its last vertex, which changes
+        nothing, so every row takes each step.
+        """
+        while ((target := _targets(colors)) >= 0).any():
+            target[target < 0] = self.n - 1
+            v = np.where(colors == target[:, None], np.arange(self.n), self.n).min(axis=1)
+            colors = self.refine(*_split(colors, target, v), owner)
+        return colors
 
-    def same_orbit(v: int, tried: list[int], fixed: tuple[int, ...]) -> bool:
-        usable = [p for p in autos if all(p[f] == f for f in fixed)]
-        if not usable:
-            return False
-        parent = list(range(n))
+    def encode(self, leaves: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Upper triangle of each leaf's token matrix, rows and columns in colour order."""
+        perm = np.empty_like(leaves)
+        perm[np.arange(len(leaves))[:, None], leaves] = np.arange(self.n)
+        vertex = np.arange(self.n)
+        iu, ju = np.nonzero(vertex[:, None] < vertex)
+        return self.tok[owner[:, None], perm[:, iu], perm[:, ju]]
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for p in usable:
-            for a in range(n):
-                ra, rb = find(a), find(p[a])
-                if ra != rb:
-                    parent[ra] = rb
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
+def _targets(colors: np.ndarray) -> np.ndarray:
+    """Each node's target cell, its smallest colour of two or more vertices; -1 if discrete."""
+    nodes, n = colors.shape
+    sizes = np.bincount((colors + n * np.arange(nodes)[:, None]).ravel(), minlength=nodes * n)
+    first = np.where(sizes.reshape(nodes, n) > 1, np.arange(n), n).min(axis=1)
+    return np.where(first < n, first, -1)
 
-    def search(colors: list[int], fixed: tuple[int, ...]):
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            perm = [v for _, v in sorted((colors[v], v) for v in range(n))]
-            enc = encode(perm)
-            if best["enc"] is None or enc < best["enc"]:
-                best["enc"] = enc
-                best["perm"] = perm
-            elif enc == best["enc"] and perm != best["perm"]:
-                auto = [0] * n
-                for i in range(n):
-                    auto[best["perm"][i]] = perm[i]
-                autos.append(auto)
-            return
-        tried: list[int] = []
-        for v in target:
-            if same_orbit(v, tried, fixed):
-                continue
-            tried.append(v)
-            split = [2 * c + 1 for c in colors]
-            split[v] = 2 * colors[v]
-            search(refine(split), fixed + (v,))
 
-    search(refine([0] * n), ())
+def _split(colors: np.ndarray, target: np.ndarray, v: np.ndarray):
+    """Colourings with vertex v individualized in its cell `target`, and their cell counts."""
+    split = colors + (colors >= target[:, None])
+    split[np.arange(len(v)), v] = target
+    return split, colors.max(axis=1) + 2
 
-    parts = []
-    for t in best["enc"]:
-        if t == _NO_EDGE:
-            parts.append("-")
-        elif t[0] == 0:
-            parts.append(f"m{int(t[1])}")
-        else:
-            parts.append(f"i{t[1]!r}")
-    return f"{n}:".encode() + "|".join(parts).encode()
+
+def _first_siblings(parent: np.ndarray, enc: np.ndarray, bits: int) -> np.ndarray:
+    """The children kept: the first of each parent's children whose dive leaves encode alike.
+
+    `parent` is nondecreasing.  It indexes the previous level, which may hold
+    far more nodes than there are children, so the parents are numbered
+    0, 1, 2, ... first: _lex_order packs `first` into the bits of the row count.
+    """
+    group = np.zeros(len(parent), dtype=np.int64)
+    np.cumsum(parent[1:] != parent[:-1], out=group[1:])
+    order, new = _lex_order(group, enc, bits)
+    return np.sort(order[new])
+
+
+def _lex_order(first: np.ndarray, cols: np.ndarray, bits: int):
+    """Stable lexicographic order of the rows (first, *cols), and where its runs of equal rows start.
+
+    Entries of `first` lie in [0, len(first)) and those of cols in [0, 2**bits);
+    ValueError unless 2 * len(first).bit_length() + bits <= 63.
+    Only int64 keys are sorted: each pass packs the ranks so far, as many
+    columns as fit and the row index into one key.
+    """
+    rows = len(first)
+    shift = max(rows, 1).bit_length()
+    if 2 * shift + bits > 63:
+        raise ValueError(f"{rows} rows of {bits}-bit columns do not pack into int64 keys")
+    step = (63 - 2 * shift) // bits
+    ranks, idx = first, np.arange(rows)
+    for j in range(0, max(cols.shape[1], 1), step):
+        key = ranks
+        for col in cols[:, j : j + step].T:
+            key = (key << bits) + col
+        key = np.sort((key << shift) + idx)
+        high = key >> shift
+        order = key - (high << shift)
+        new = np.ones(rows, dtype=bool)
+        new[1:] = high[1:] != high[:-1]
+        ranks = np.empty(rows, dtype=np.int64)
+        ranks[order] = np.cumsum(new) - 1
+    return order, new
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 The level-2 filter decides every principal minor with a direct
 np.linalg.eigvalsh call on a stack of minors, one deletion at a time, so it
 stays an oracle for forms.minors_psd and its Cholesky screen as well as for
-the census's memoized tables.  canonical_key is graphs.canonical_key as it
-was before its refinement step signed vertices by their edges: it signs
-each vertex by its full row of (token, colour) pairs.
+the census's memoized tables.  canonical_key is the one-graph depth-first
+search with automorphism pruning that graphs.canonical_key ran before keys
+were searched breadth first in batches, and before its refinement step
+signed vertices by their edges: it signs each vertex by its full row of
+(token, colour) pairs.  It defines the key bytes the batched search keeps.
 
 nominate builds the candidates of the nomination batches one CoxeterGraph at
 a time, the reference for the label-code Gram stacks the census decides.
@@ -19,7 +21,10 @@ from typing import Iterator
 import numpy as np
 
 from coxpack.census import ADMISSIBLE_LABELS, Family, _nomination_batches
-from coxpack.graphs import _NO_EDGE, CoxeterGraph, EdgeLabel
+from coxpack.graphs import CoxeterGraph, EdgeLabel
+
+# token used for an absent edge; sorts after every real label
+_NO_EDGE = (2, 0.0)
 
 
 def nominate(family: Family, level1: list[CoxeterGraph], ranks=None) -> Iterator[CoxeterGraph]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -34,7 +35,14 @@ from coxpack.census import (
     enumerate_level1,
     enumerate_level2,
 )
-from reference_census import filter_level2, filter_level2_arrays, nominate
+from reference_census import canonical_key, filter_level2, filter_level2_arrays, nominate
+
+
+@functools.cache
+def _reference_key(rank, edges):
+    """reference_census.canonical_key, computed once per graph for all tolerances."""
+    return canonical_key(cp.CoxeterGraph(rank, edges))
+
 
 TOLS = (5e-4, 1e-3, 2e-3)
 
@@ -87,18 +95,20 @@ def test_relabeled_specials_never_level1():
 
 
 def test_enumerate_level1_contents(level1):
-    keys = {cp.canonical_key(g) for g in level1}
-    assert cp.canonical_key(_specials()[0]) in keys  # K4 qualifies
+    keys = set(cp.canonical_keys(level1))
+    k4, path, cycle = cp.canonical_keys(
+        [_specials()[0], cp.path_graph([3, 3, 3]), cp.cycle_graph([3, 3, 3])]
+    )
+    assert k4 in keys  # K4 qualifies
     # finite and affine shapes are filtered out
-    assert cp.canonical_key(cp.path_graph([3, 3, 3])) not in keys
-    assert cp.canonical_key(cp.cycle_graph([3, 3, 3])) not in keys
+    assert path not in keys and cycle not in keys
     assert all(cp.level(g) == 1 for g in level1)
     assert len(keys) == len(level1)
     assert all(g.rank <= 10 for g in level1)
 
 
 def _reference_catalog(max_n, labels, zero_tol):
-    """The level-1 catalog built one candidate at a time: one key and one level each."""
+    """The level-1 catalog built one candidate at a time: one reference key and one level each."""
     codes = [ADMISSIBLE_LABELS.index(m) for m in labels]
     l0_trees = {1: [cp.CoxeterGraph(1)]}
     l1_trees = []
@@ -109,7 +119,7 @@ def _reference_catalog(max_n, labels, zero_tol):
             for v in range(k):
                 for code in codes:
                     cand = _labeled(*_joined(base, v), [code])
-                    key = cp.canonical_key(cand)
+                    key = _reference_key(cand.rank, cand.edges)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -129,7 +139,7 @@ def _reference_catalog(max_n, labels, zero_tol):
             ends = _leaves(base)
             for pair_codes in product(codes, repeat=2):
                 cand = _labeled(*_joined(base, *ends), pair_codes)
-                key = cp.canonical_key(cand)
+                key = _reference_key(cand.rank, cand.edges)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -159,7 +169,7 @@ def test_catalog_matches_per_candidate_reference(level1, tol):
     l0_trees, l1_trees, l1_cycles, l1_tailed = _catalog_level01(10, tol)
     # the level-1 trees and cycles come keyed by their own canonical keys
     for keyed in (l1_trees, l1_cycles):
-        assert list(keyed) == [cp.canonical_key(g) for g in keyed.values()]
+        assert list(keyed) == cp.canonical_keys(list(keyed.values()))
     got = [*l0_trees.values(), l1_trees.values(), l1_cycles.values(), l1_tailed]
     assert compact(got) == compact(want)
     got = [cp.to_compact(g) for g in enumerate_level1(10, zero_tol=tol)]
@@ -476,8 +486,8 @@ def test_census_rejects_a_survivor_of_level_1(monkeypatch, level1_5, tmp_path, c
 
 def test_filter_level2_agrees_with_direct_level(level1):
     cands = [g for g in nominate(Family.FROM_K23, level1) if g.rank >= 5]
-    fast = {cp.canonical_key(g) for g in filter_level2(cands, 1e-3)}
-    slow = {cp.canonical_key(g) for g in cands if cp.level(g) == 2}
+    fast = set(cp.canonical_keys(filter_level2(cands, 1e-3)))
+    slow = set(cp.canonical_keys([g for g in cands if cp.level(g) == 2]))
     assert fast == slow
 
 
@@ -541,10 +551,10 @@ def test_census_11_vertices_are_trees(census_entries):
 def test_dedup_stable_under_candidate_shuffle(level1):
     """The admitted key set cannot depend on nomination order."""
     cands = [g for g in nominate(Family.FROM_K4_MINUS_E, level1) if g.rank >= 5]
-    ordered = {cp.canonical_key(g) for g in filter_level2(cands, 1e-3)}
+    ordered = set(cp.canonical_keys(filter_level2(cands, 1e-3)))
     shuffled = cands[:]
     random.Random(3).shuffle(shuffled)
-    assert {cp.canonical_key(g) for g in filter_level2(shuffled, 1e-3)} == ordered
+    assert set(cp.canonical_keys(filter_level2(shuffled, 1e-3))) == ordered
 
 
 def test_census_contains_butterfly(census_entries):

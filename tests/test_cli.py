@@ -411,22 +411,6 @@ def test_enum_strict_only(tmp_path, capsys):
     assert all(",true," in r for r in rows)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--max-rank", "5", "--jobs", "0"],
-        ["--max-rank", "5", "--jobs", "-3"],
-        ["--max-rank", "4"],
-        ["--max-rank", "12"],
-    ],
-)
-def test_enum_bad_argument_is_usage_error(tmp_path, capsys, argv):
-    out = tmp_path / "c.csv"
-    code, stdout, err = run(capsys, ["enum", *argv, "--out", str(out)])
-    assert code == 2 and argv[-2] in err
-    assert not stdout and not out.exists()
-
-
 BAD_TOLS = ["0", "-1", "nan", "inf"]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxpack as cp
+from coxpack import graphs
 from coxpack.graphs import GraphError, graph_to_dict
 
 import reference_census
@@ -161,7 +162,7 @@ def _relabel(g, perm):
 
 
 def test_canonical_key_exhaustive_small():
-    graphs = [
+    examples = [
         cp.path_graph([3, 4, 5]),
         cp.cycle_graph([3, 3, 4, 6]),
         cp.complete_graph(4, 3),
@@ -170,10 +171,9 @@ def test_canonical_key_exhaustive_small():
             (1, 3, cp.EdgeLabel(4)), (3, 4, cp.EdgeLabel(4)),
         )),
     ]
-    for g in graphs:
-        key = cp.canonical_key(g)
-        for perm in itertools.permutations(range(g.rank)):
-            assert cp.canonical_key(_relabel(g, perm)) == key
+    for g in examples:
+        relabeled = [_relabel(g, perm) for perm in itertools.permutations(range(g.rank))]
+        assert set(cp.canonical_keys(relabeled)) == {cp.canonical_key(g)}
 
 
 def test_canonical_key_distinguishes():
@@ -213,7 +213,8 @@ def labeled_graphs(draw):
 def test_canonical_key_random_relabelings(g, rng):
     perm = list(range(g.rank))
     rng.shuffle(perm)
-    assert cp.canonical_key(_relabel(g, perm)) == cp.canonical_key(g)
+    key, relabeled = cp.canonical_keys([g, _relabel(g, perm)])
+    assert relabeled == key
 
 
 def _symmetric_families():
@@ -241,11 +242,15 @@ def test_canonical_key_matches_reference_on_census(census_entries):
     """The census graphs and a random relabeling of each key as the reference keys them."""
     assert len(census_entries) == 326
     rng = random.Random(17)
+    gs, want = [], []
     for e in census_entries:
         perm = list(range(e.rank))
         rng.shuffle(perm)
         for g in (e.graph, _relabel(e.graph, perm)):
-            assert cp.canonical_key(g) == reference_census.canonical_key(g) == e.key
+            gs.append(g)
+            want.append(reference_census.canonical_key(g))
+            assert want[-1] == e.key
+    assert cp.canonical_keys(gs) == want
 
 
 ORACLE_LABELS = tuple(cp.EdgeLabel(m) for m in range(3, 8)) + tuple(
@@ -254,9 +259,9 @@ ORACLE_LABELS = tuple(cp.EdgeLabel(m) for m in range(3, 8)) + tuple(
 
 
 @st.composite
-def oracle_graphs(draw):
-    """Rank 1-9; each pair has no edge, a label 3-7, inf, or a dotted label."""
-    n = draw(st.integers(min_value=1, max_value=9))
+def oracle_graphs(draw, max_rank=9):
+    """Rank 1 to max_rank; each pair has no edge, a label 3-7, inf, or a dotted label."""
+    n = draw(st.integers(min_value=1, max_value=max_rank))
     density = draw(st.sampled_from((0.2, 0.5, 0.9)))
     labels = draw(st.lists(st.sampled_from(ORACLE_LABELS), min_size=1, max_size=4, unique=True))
     edges = [
@@ -272,8 +277,107 @@ def oracle_graphs(draw):
 def test_canonical_key_matches_reference(g, rng):
     perm = list(range(g.rank))
     rng.shuffle(perm)
-    for h in (g, _relabel(g, perm)):
-        assert cp.canonical_key(h) == reference_census.canonical_key(h)
+    pair = [g, _relabel(g, perm)]
+    assert cp.canonical_keys(pair) == [reference_census.canonical_key(h) for h in pair]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(oracle_graphs(), max_size=8), st.randoms(use_true_random=False))
+def test_canonical_keys_in_input_order(gs, rng):
+    """Mixed ranks, rank 1 and repeats: one batched call keys each graph as a call of its own."""
+    gs = gs + [cp.CoxeterGraph(1), *rng.sample(gs, min(3, len(gs)))]
+    rng.shuffle(gs)
+    assert cp.canonical_keys(gs) == [cp.canonical_key(g) for g in gs]
+    assert cp.canonical_keys([]) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(oracle_graphs(max_rank=7))
+def test_sibling_pruning_keeps_the_key(g):
+    """With every sibling kept (no first-path pruning) the least leaf is the same."""
+    key = cp.canonical_key(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_first_siblings", lambda parent, enc, bits: np.arange(len(parent)))
+        assert cp.canonical_key(g) == key
+
+
+@pytest.mark.parametrize("first, second", [(3, 19), (5, 37), (0, 32)])
+def test_canonical_keys_with_few_children_of_far_apart_graphs(first, second):
+    """Two symmetric graphs among many discrete at the root, keyed in one call.
+
+    Their few children have parents far apart in the block (indices congruent
+    mod 8 and mod 32), which must not merge them into one sibling group.
+    """
+    rng = random.Random(first)
+    gs = []
+    while len(gs) < 40:
+        labels = [rng.choice((3, 4, 5, 6)) for _ in range(7)]
+        if labels != labels[::-1]:  # an asymmetric path: discrete after refinement
+            gs.append(cp.path_graph(labels))
+    gs[first] = cp.path_graph([3] * 7)
+    gs[second] = _relabel(cp.path_graph([3] * 7), [7, 2, 5, 0, 3, 6, 1, 4])
+    want = [reference_census.canonical_key(g) for g in gs]
+    assert cp.canonical_keys(gs) == want
+    assert [cp.canonical_key(g) for g in gs] == want
+
+
+def test_lex_order_refuses_keys_wider_than_int64():
+    with pytest.raises(ValueError, match="do not pack"):
+        graphs._lex_order(np.arange(4), np.zeros((4, 2), dtype=np.int64), 58)
+
+
+def _disjoint(copies, h):
+    """`copies` disjoint copies of the graph h."""
+    edges = tuple((i * h.rank + u, i * h.rank + v, lab) for i in range(copies) for u, v, lab in h.edges)
+    return cp.CoxeterGraph(copies * h.rank, edges)
+
+
+def _runs(key: str) -> bytes:
+    """A key written as runs: 'n:' then 'part*count' items joined by '|'."""
+    head, body = key.split(":")
+    parts = []
+    for item in body.split("|"):
+        part, count = item.split("*")
+        parts += [part] * int(count)
+    return f"{head}:{'|'.join(parts)}".encode()
+
+
+# keys of graphs with large automorphism groups, as runs of equal parts; computed
+# with reference_census.canonical_key, which is too slow on the star for Tier-1
+SYMMETRIC_KEYS = {
+    "star of rank 32": (
+        cp.CoxeterGraph(32, tuple((0, v, cp.EdgeLabel(3)) for v in range(1, 32))),
+        "32:m3*31|-*465",
+    ),
+    "16 disjoint edges": (
+        _disjoint(16, cp.path_graph([3])),
+        "32:m3*1|-*60|m3*1|-*56|m3*1|-*52|m3*1|-*48|m3*1|-*44|m3*1|-*40|m3*1|-*36|m3*1|-*32"
+        "|m3*1|-*28|m3*1|-*24|m3*1|-*20|m3*1|-*16|m3*1|-*12|m3*1|-*8|m3*1|-*4|m3*1",
+    ),
+    "8 disjoint triangles": (
+        _disjoint(8, cp.complete_graph(3, 3)),
+        "24:m3*2|-*21|m3*1|-*42|m3*2|-*18|m3*1|-*36|m3*2|-*15|m3*1|-*30|m3*2|-*12|m3*1|-*24"
+        "|m3*2|-*9|m3*1|-*18|m3*2|-*6|m3*1|-*12|m3*2|-*3|m3*1|-*6|m3*3",
+    ),
+    "K12": (cp.complete_graph(12, 3), "12:m3*66"),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_KEYS))
+def test_canonical_key_of_symmetric_graphs(name):
+    """Literal keys, in a bounded number of refined node rows, so a lost pruning fails fast."""
+    g, want = SYMMETRIC_KEYS[name]
+    refine, rows = graphs._KeySearch.refine, []
+
+    def bounded(self, colors, cells, owner):
+        rows.append(len(colors))
+        if sum(rows) > 20_000:
+            raise AssertionError(f"more than 20,000 node rows refined for the {name}")
+        return refine(self, colors, cells, owner)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs._KeySearch, "refine", bounded)
+        assert cp.canonical_key(g) == _runs(want)
 
 
 def test_graph_to_dict_defaults():
