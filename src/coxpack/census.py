@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .forms import _EIG_CHUNK, DEFAULT_ZERO_TOL, _levels, fundamental_weights, minors_psd
+from .forms import DEFAULT_ZERO_TOL, _levels, _per_call, fundamental_weights, minors_psd
 from .graphs import (
     CoxeterGraph,
     EdgeLabel,
@@ -406,7 +406,8 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     and read a deletion's table by mixed-radix code: its verdicts broadcast
     along the pairs outside.  Tables are decided in waves of increasing
     inside-pair count, and a wave decides only the rows some member still
-    alive reads, in blocks of _EIG_CHUNK rows across batches and deletions.
+    alive reads, in blocks of forms._per_call(n - 2) rows across batches and
+    deletions, _KERNEL_ENTRIES entries (809 minors at rank 11).
     A member dies at a failing row; the rows it alone would read are never
     decided.  Some one-vertex deletion must then fail, decided in one call
     on the Gram matrices of the members left; by interlacing, the full
@@ -423,6 +424,7 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     masks = inside @ (1 << np.arange(width))
     counts = inside.sum(axis=-1)
     ok = _members(uv)
+    per_call = _per_call(n - 2)
     for c in range(width + 1):
         # wave c: each deletion with c pairs inside, each row a live member reads
         rows, reads = [], []
@@ -440,11 +442,11 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
             continue
         b, d, codes = (np.concatenate(col) for col in zip(*rows))
         verdicts = [np.ones(0, dtype=bool)]
-        for lo in range(0, len(b), _EIG_CHUNK):
-            bb, dd = b[lo : lo + _EIG_CHUNK], d[lo : lo + _EIG_CHUNK]
+        for lo in range(0, len(b), per_call):
+            bb, dd = b[lo : lo + per_call], d[lo : lo + per_call]
             keep = keeps[dd]
             minors = grams[bb[:, None, None], keep[:, :, None], keep[:, None, :]]
-            _set_labels(minors, at[bb, dd], codes[lo : lo + _EIG_CHUNK], inside[bb, dd])
+            _set_labels(minors, at[bb, dd], codes[lo : lo + per_call], inside[bb, dd])
             verdicts.append(minors_psd(minors, 0, zero_tol))
         # a member reading a failing row dies
         fails = ~np.concatenate(verdicts)

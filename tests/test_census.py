@@ -287,7 +287,8 @@ def test_batch_survivors_match_reference_filter(data):
 
     for tol in TOLS:
         decided.clear()
-        with mock.patch.object(census, "_EIG_CHUNK", chunk), \
+        # a budget of chunk minors of the two-vertex deletions, (n - 2) x (n - 2)
+        with mock.patch.object(forms, "_KERNEL_ENTRIES", chunk * (n - 2) ** 2), \
                 mock.patch.object(census, "minors_psd", counting):
             got = _rank_survivors(batches, tol)
         assert all(codes.dtype == np.int8 for codes in got)

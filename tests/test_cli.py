@@ -171,14 +171,6 @@ def test_roots_cap_exceeded(graph_file, capsys, universal4):
     assert code == 5 and "cap" in err
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_max_records_below_one_is_usage_error(graph_file, capsys, universal4, cap):
-    for cmd in (["roots", "--depth", "3"], ["weights", "--length", "2"]):
-        argv = [cmd[0], graph_file(universal4), *cmd[1:], "--max-records", cap]
-        code, _, err = run(capsys, argv)
-        assert code == 2 and "--max-records" in err
-
-
 def test_weights_output(graph_file, capsys, star_inf):
     code, out, _ = run(capsys, ["weights", graph_file(star_inf), "--length", "3"])
     doc = json.loads(out)
@@ -254,22 +246,6 @@ def test_tangency_cap_exceeded(graph_file, capsys):
     argv = ["tangency", graph_file(g), "--length", "4", "--max-records", "2"]
     code, _, err = run(capsys, argv)
     assert code == 5 and "cap" in err
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--min-radius", "-1"),
-        ("--min-radius", "nan"),
-        ("--min-radius", "inf"),
-        ("--canvas", "0"),
-        ("--canvas", "-10"),
-    ],
-)
-def test_pack_render_flags_are_usage_errors(graph_file, capsys, universal4, flag, value):
-    argv = ["pack", graph_file(universal4), "--length", "2", "--format", "svg", flag, value]
-    code, out, err = run(capsys, argv)
-    assert code == 2 and flag in err and out == ""
 
 
 def test_enum_rank5(tmp_path, capsys):

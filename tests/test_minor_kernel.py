@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxpack as cp
-from coxpack import forms
-from coxpack.forms import minors_psd
+from coxpack import census, forms
+from coxpack.forms import FormError, minors_psd
 from coxpack.tangency import is_strict_level2
 from reference_census import filter_level2_arrays
 
@@ -69,11 +69,14 @@ def graph_batches(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph_batches(), st.sampled_from(TOLS + (1e-9,)), st.sampled_from((3, 8192)))
-def test_kernel_matches_reference(batch, tol, chunk):
-    # chunk 3 splits every eigvalsh stack and every deletion block; the
-    # Cholesky screen runs on every stack, however small
-    with mock.patch.object(forms, "_EIG_CHUNK", chunk), mock.patch.object(forms, "_SCREEN_MIN", 1):
+@given(graph_batches(), st.sampled_from(TOLS + (1e-9,)), st.sampled_from((1, 3 * 8**2, 1 << 16)))
+def test_kernel_matches_reference(batch, tol, budget):
+    # a budget of 1 entry decides each matrix in its own call, which splits
+    # every stack and every deletion block; 3 * 8**2 entries take 3 minors of
+    # 8x8 or 21 of 3x3 a call.  The Cholesky screen runs on every stack,
+    # however small
+    with mock.patch.object(forms, "_KERNEL_ENTRIES", budget), \
+            mock.patch.object(forms, "_SCREEN_MIN", 1):
         levels = []
         for g in batch:
             for r in range(g.rank):
@@ -156,3 +159,80 @@ def test_kernel_rejects_bad_tol(tol):
 def test_kernel_rejects_bad_deletion_count(k):
     with pytest.raises(ValueError):
         minors_psd(np.eye(3)[None], k)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (2, 2, 3, 3), (4,)])
+def test_kernel_rejects_a_stack_of_the_wrong_shape(shape):
+    with pytest.raises(FormError, match=r"shape \(m, n, n\)"):
+        minors_psd(np.zeros(shape), 1)
+
+
+def _recorded_stacks(monkeypatch) -> list[int]:
+    """The entries of each stack forms._decide receives, from now on."""
+    sizes = []
+    decide = forms._decide
+
+    def recording(stack, zero_tol, finite):
+        sizes.append(stack.size)
+        return decide(stack, zero_tol, finite)
+
+    monkeypatch.setattr(forms, "_decide", recording)
+    return sizes
+
+
+UNBOUNDED = 1 << 62
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_kernel_stays_inside_its_budget(monkeypatch, k):
+    """Every stack minors_psd decides holds at most _KERNEL_ENTRIES entries:
+    the whole-stack slices (k = 0), the gathered minors of one deletion
+    across more matrices than the budget holds, and the deletion blocks of
+    the few matrices left.  The verdicts are those of one unbounded call."""
+    rng = np.random.default_rng(k)
+    n, count, budget = 9, 300, 1 << 12
+    # sparse graphs with labels 3-6: some pass every deletion, most fail one
+    upper = np.triu(rng.random((count, n, n)) < 0.25, 1) * rng.choice(
+        [np.cos(np.pi / m) for m in (3, 4, 5, 6)], (count, n, n)
+    )
+    grams = np.eye(n) - upper - upper.transpose(0, 2, 1)
+    sizes = _recorded_stacks(monkeypatch)
+    monkeypatch.setattr(forms, "_KERNEL_ENTRIES", UNBOUNDED)
+    want = minors_psd(grams, k, 1e-3)
+    assert max(sizes) > budget
+    sizes.clear()
+    monkeypatch.setattr(forms, "_KERNEL_ENTRIES", budget)
+    got = minors_psd(grams, k, 1e-3)
+    assert got.tolist() == want.tolist() and 0 < want.sum() < count
+    assert len(sizes) > 1 and max(sizes) <= budget
+
+
+@pytest.mark.parametrize("budget", [1 << 12, forms._KERNEL_ENTRIES])
+def test_census_kernel_calls_stay_inside_the_budget(monkeypatch, budget):
+    """_rank_survivors on theta(2,2,2) (rank 8, 262,144 members) decides its
+    table rows and one-vertex deletions in stacks of at most _KERNEL_ENTRIES
+    entries, and keeps the members that a run with an unbounded budget
+    keeps.  Unbounded, its largest stack is 1,536 minors of 6x6 (55,296
+    entries), so the smaller budget splits it."""
+    rank, pairs = census._theta_edges(2, 2, 2)
+    batches = [(cp.CoxeterGraph(rank), tuple(pairs))]
+    assert rank == 8 and len(pairs) == 9
+    sizes = _recorded_stacks(monkeypatch)
+    blocks = []  # the entries of each block of table rows _rank_survivors gathers
+    kernel = census.minors_psd
+
+    def recording(grams, k, zero_tol):
+        blocks.append(grams.size if k == 0 else 0)
+        return kernel(grams, k, zero_tol)
+
+    monkeypatch.setattr(census, "minors_psd", recording)
+    monkeypatch.setattr(forms, "_KERNEL_ENTRIES", UNBOUNDED)
+    want = census._rank_survivors(batches, 1e-3)
+    assert max(sizes) == max(blocks) == 55_296
+    sizes.clear()
+    blocks.clear()
+    monkeypatch.setattr(forms, "_KERNEL_ENTRIES", budget)
+    got = census._rank_survivors(batches, 1e-3)
+    assert max(sizes) <= budget and max(blocks) <= budget
+    assert [codes.tolist() for codes in got] == [codes.tolist() for codes in want]
+    assert len(want[0])
