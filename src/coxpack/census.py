@@ -409,9 +409,11 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     alive reads, in blocks of forms._per_call(n - 2) rows across batches and
     deletions, _KERNEL_ENTRIES entries (809 minors at rank 11).
     A member dies at a failing row; the rows it alone would read are never
-    decided.  Some one-vertex deletion must then fail, decided in one call
-    on the Gram matrices of the members left; by interlacing, the full
-    matrix then fails too and needs no test of its own.
+    decided.  Once the live members' codes take no more room than ok, a
+    wave takes them once and reads and kills only those members.  Some
+    one-vertex deletion must then fail, decided in one call on the Gram
+    matrices of the members left; by interlacing, the full matrix then
+    fails too and needs no test of its own.
     """
     grams, uv = _stacked(batches)
     n, width = grams.shape[-1], uv.shape[1]
@@ -429,15 +431,24 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
         # wave c: each deletion with c pairs inside, each row a live member reads
         rows, reads = [], []
         wave = np.where(counts == c, masks, -1)
+        live = None
+        if 8 * ok.ndim * np.count_nonzero(ok) <= ok.size:
+            live = np.unravel_index(np.flatnonzero(ok), ok.shape)
         for mask in np.unique(wave[wave >= 0]).tolist():
             axes = [a for a in range(width) if mask >> a & 1]
             outside = tuple(a + 1 for a in range(width) if not mask >> a & 1)
             eb, ed = np.nonzero(wave == mask)
-            e, *digits = np.nonzero(ok.any(axis=outside)[eb])
+            if live is None:
+                read, projected = ok.any(axis=outside), None
+            else:  # the same, projected from the live codes
+                read = np.zeros(ok.shape[: 1 + c], dtype=bool)
+                projected = (live[0], *(live[a + 1] for a in axes))
+                read[projected] = True
+            e, *digits = np.nonzero(read[eb])
             codes = np.zeros((len(e), width), dtype=np.int8)
             codes[:, axes] = np.array(digits, dtype=np.int8).reshape(c, len(e)).T
             rows.append((eb[e], ed[e], codes))
-            reads.append((outside, (eb[e], *digits)))
+            reads.append((outside, (eb[e], *digits), projected))
         if not rows:
             continue
         b, d, codes = (np.concatenate(col) for col in zip(*rows))
@@ -451,10 +462,13 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
         # a member reading a failing row dies
         fails = ~np.concatenate(verdicts)
         ends = np.cumsum([len(row[0]) for row in rows])
-        for (outside, where), failed in zip(reads, np.split(fails, ends[:-1])):
+        for (outside, where, projected), failed in zip(reads, np.split(fails, ends[:-1])):
             bad = np.zeros(ok.shape[: 1 + width - len(outside)], dtype=bool)
             bad[tuple(w[failed] for w in where)] = True
-            ok &= ~np.expand_dims(bad, outside)
+            if projected is None:
+                ok &= ~np.expand_dims(bad, outside)
+            else:
+                ok[tuple(x[bad[projected]] for x in live)] = False
 
     # the members left, in batch order, to the one-vertex stage
     alive = np.argwhere(ok)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,104 +166,167 @@ def cmd_classify(args) -> int:
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_BLOCK_ROWS = 2048  # records formatted and written at a time
-_TABLE_SIZE = 1 << 18  # float texts a column keeps between blocks: about 20 MB at most
+_BLOCK_ROWS = 2048  # records rendered and written at a time
+_TABLE_SIZE = 1 << 18  # float texts a document keeps between blocks: about 20 MB at most
 
 
-class _FloatTexts:
-    """json.dumps' text for each float of a column's blocks, flattened.
+class _Field(NamedTuple):
+    """A record key and its column: float rows (a JSON list each), floats, ints or choices.
 
-    Each distinct bit pattern is formatted once, and its text is kept for
-    the column's later blocks in arrays sorted by bits.  Only 0.1-22% of
-    the values in a roots or weights column of the benchmark's systems are
-    distinct, and there this is 4-10 times faster than formatting every
-    value; where no value repeats it costs about the same.  The table
-    starts afresh when a block would take it past _TABLE_SIZE texts, so it
-    stays bounded whatever the document's size.  float.__repr__, not repr:
-    numpy 2's repr of a numpy float names its type.
+    A column of choices holds keys of `choices`, which maps each to its
+    JSON text.  Rows where `present` is False have no value: there the key
+    reads null when absent is "null", and is left out when absent is "".
     """
 
-    def __init__(self):
-        self.bits = np.empty(0, dtype=np.uint64)
-        self.texts = np.empty(0, dtype=object)
+    key: str
+    values: np.ndarray
+    choices: dict | None = None
+    present: np.ndarray | None = None
+    absent: str = ""
 
-    def __call__(self, values) -> list[str]:
-        flat = np.ascontiguousarray(values, dtype=float).ravel()
-        bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
+
+class _Tokens:
+    """A document's token texts by id: "", "null", its fixed pieces, then its floats'.
+
+    Each distinct float bit pattern is formatted once, by float.__repr__
+    (numpy 2's repr of a numpy float names its type), and kept for the
+    document's later blocks: only 0.1-22% of the floats of a roots or
+    weights document of the benchmark's systems are distinct.  The float
+    texts start afresh when a block would take them past _TABLE_SIZE, so
+    the table stays bounded whatever the document's size.  A block's int
+    texts follow the kept ones, where the next block's texts overwrite them.
+    """
+
+    def __init__(self, fixed: list[str]):
+        self.id = {text: i for i, text in enumerate(dict.fromkeys(["", "null", *fixed]))}
+        self.texts = np.array(list(self.id), dtype=object)  # grows by doubling
+        self.fixed = self.size = len(self.texts)
+        self.bits = np.empty(0, dtype=np.uint64)  # the kept floats' bits, sorted
+        self.ids = np.empty(0, dtype=np.intp)  # and their texts' ids
+
+    def _put(self, texts: list[str]) -> int:
+        """Write texts after the kept ones; the first one's id."""
+        end = self.size + len(texts)
+        if end > len(self.texts):
+            grown = np.empty(max(end, 2 * len(self.texts)), dtype=object)
+            grown[: self.size] = self.texts[: self.size]
+            self.texts = grown
+        self.texts[self.size : end] = texts
+        return self.size
+
+    def floats(self, values: np.ndarray) -> np.ndarray:
+        """The ids of json.dumps' text of each float of a float64 array, in its shape."""
+        bits, where = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
         if len(self.bits) + len(bits) > _TABLE_SIZE:
-            self.__init__()
+            self.texts[self.fixed : self.size] = None
+            self.size = self.fixed
+            self.bits, self.ids = self.bits[:0], self.ids[:0]
         at = np.searchsorted(self.bits, bits)
-        new = np.ones(len(bits), dtype=bool)
-        inside = at < len(self.bits)
-        new[inside] = self.bits[at[inside]] != bits[inside]
-        texts = np.empty(len(bits), dtype=object)
-        texts[~new] = self.texts[at[~new]]
+        new = at == len(self.bits)
+        new[~new] = self.bits[at[~new]] != bits[~new]
+        ids = np.empty(len(bits), dtype=np.intp)
+        ids[~new] = self.ids[at[~new]]
         fresh = bits[new].view(float)
-        formatted = list(map(float.__repr__, fresh.tolist()))
-        if not np.isfinite(fresh).all():
-            formatted = [_NONFINITE.get(t, t) for t in formatted]
-        texts[new] = formatted
-        if len(self.bits):
-            self.bits = np.insert(self.bits, at[new], bits[new])
-            self.texts = np.insert(self.texts, at[new], texts[new])
-        else:  # a column's first block starts its table
-            self.bits, self.texts = bits, texts
-        return texts[where].tolist()
+        texts = list(map(float.__repr__, fresh.tolist()))
+        for i in np.flatnonzero(~np.isfinite(fresh)).tolist():
+            texts[i] = _NONFINITE[texts[i]]
+        ids[new] = np.arange(self._put(texts), self.size + len(texts))
+        self.size += len(texts)
+        self.bits = np.insert(self.bits, at[new], bits[new])
+        self.ids = np.insert(self.ids, at[new], ids[new])
+        return ids[where].reshape(values.shape)
+
+    def ints(self, values: np.ndarray) -> np.ndarray:
+        """The ids of the text of each int, in values' shape, until the next texts are put."""
+        numbers, where = np.unique(values.ravel(), return_inverse=True)
+        return self._put(list(map(str, numbers.tolist()))) + where.reshape(values.shape)
 
 
-def _list_texts(rows: np.ndarray, column: _FloatTexts) -> list[str]:
-    """json.dumps(row, indent=1) of each row of a 2-D float array, as a record's value."""
-    n = rows.shape[1]
-    if not n:
-        return ["[]"] * len(rows)
-    template = "[\n    " + ",\n    ".join(["%s"] * n) + "\n   ]"
-    texts = iter(column(rows))
-    return [template % row for row in zip(*[texts] * n)]
+_KINDS = ("float", "int", "choice")
 
 
-def _int_texts(values) -> list[str]:
-    return list(map(str, np.asarray(values).tolist()))
+def _kind(field: _Field) -> str:
+    if field.choices is not None:
+        return "choice"
+    return "int" if field.values.dtype.kind in "iu" else "float"
 
 
-def _record_texts(columns: dict[str, list]) -> list[str]:
-    """json.dumps(record, indent=1) of each record, indented as a list item of the document.
+def _template(fields: list[_Field]) -> list[tuple]:
+    """A record of these fields as slots (text, field, group), in order.
 
-    `columns` maps each record key, in order, to the JSON text of its value
-    in every record, as json.dumps(..., indent=1) writes it inside a
-    record.  A None text omits the key from that record; the first key
-    must be present in all.
+    A slot is a fixed text (field None), or a value of field number
+    `field`, whose text is then the field's kind.  A field with a `present`
+    mask has a group of slots, which its absent rows fill with null and
+    empty texts or with empty texts only.  Adjacent fixed texts of one
+    group are one slot.  The first slot is the ",\n" before the record.
     """
-    parts, cols = [], []
-    for name, col in columns.items():
-        field = f'"{name}": '
-        if None in col:
-            parts.append("%s")
-            cols.append(["" if v is None else ",\n   " + field + v for v in col])
+    slots = [(",\n", None, -1), ("  {\n", None, None)]
+    for f, field in enumerate(fields):
+        group = None if field.present is None else f
+        key = (",\n   " if f else "   ") + json.dumps(field.key) + ": "
+        slots.append((key, None, None if field.absent else group))
+        if field.values.ndim == 1:
+            slots.append((_kind(field), f, group))
+            continue
+        for j in range(field.values.shape[1]):
+            slots += [(",\n    " if j else "[\n    ", None, group), (_kind(field), f, group)]
+        slots.append(("\n   ]" if field.values.shape[1] else "[]", None, group))
+    slots.append(("\n  }", None, None))
+    merged = slots[:1]
+    for text, f, group in slots[1:]:
+        last, last_f, last_group = merged[-1]
+        if f is None and last_f is None and group == last_group:
+            merged[-1] = (last + text, None, group)
         else:
-            parts.append((",\n   " if parts else "   ") + field + "%s")
-            cols.append(col)
-    template = "  {\n" + "".join(parts) + "\n  }"
-    return [template % values for values in zip(*cols)]
+            merged.append((text, f, group))
+    return merged
 
 
-def _write_records(write, head: dict, key: str, count: int, block) -> None:
-    """write json.dumps({**head, key: records}, indent=1) + "\\n", one block of records at a time.
+def _write_records(write, head: dict, key: str, fields: list[_Field]) -> None:
+    """write json.dumps({**head, key: records}, indent=1) + "\\n", record i from row i of fields.
 
-    block(rows) gives the `count` records' slice `rows` as _record_texts'
-    columns.  It is called for _BLOCK_ROWS records at a time, so only one
-    block's texts are alive at once.  CPython's json module uses its C
-    encoder only without indent, so orbit documents of thousands of
-    records are filled into a record template instead; the bytes are the
-    same, whatever the block size.
+    CPython's json module uses its C encoder only without indent, so orbit
+    documents of thousands of records are rendered from one token table
+    instead.  _BLOCK_ROWS records at a time become one id matrix, records
+    by template slots, whose texts are joined and written at once.  Only
+    one block's ids and text are alive at a time, and the bytes are the
+    same whatever the block size.
     """
     text = json.dumps({**head, key: []}, indent=1)
+    count = len(fields[0].values)
     if not count:
         write(text + "\n")
         return
     write(text[: -len("[]\n}")] + "[\n")
+    slots = _template(fields)
+    choices = [t for field in fields if field.choices for t in field.choices.values()]
+    tokens = _Tokens([t for t, f, _ in slots if f is None] + choices)
+    ids = np.array([tokens.id[t] if f is None else 0 for t, f, _ in slots], dtype=np.intp)
+    # by kind: its fields, and the slots of their values in one block's columns
+    kinds = {k: [field for field in fields if _kind(field) == k] for k in _KINDS}
+    at = {k: [i for i, (t, f, _) in enumerate(slots) if f is not None and t == k] for k in kinds}
+    lookups = [{v: tokens.id[t] for v, t in field.choices.items()} for field in kinds["choice"]]
+    groups = []
+    for f, field in enumerate(fields):
+        if field.present is not None:
+            where = [i for i, (_, _, group) in enumerate(slots) if group == f]
+            fill = [tokens.id["null"] if field.absent else 0] + [0] * (len(where) - 1)
+            groups.append((field.present, where, fill))
     for lo in range(0, count, _BLOCK_ROWS):
-        records = _record_texts(block(slice(lo, lo + _BLOCK_ROWS)))
-        write((",\n" if lo else "") + ",\n".join(records))
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        block = np.tile(ids, (len(fields[0].values[rows]), 1))
+        columns = {k: [f.values[rows].reshape(len(block), -1) for f in kinds[k]] for k in kinds}
+        if columns["float"]:
+            block[:, at["float"]] = tokens.floats(np.concatenate(columns["float"], 1, dtype=float))
+        if columns["int"]:
+            block[:, at["int"]] = tokens.ints(np.concatenate(columns["int"], 1))
+        for slot, values, lookup in zip(at["choice"], columns["choice"], lookups):
+            block[:, slot] = list(map(lookup.__getitem__, values.ravel().tolist()))
+        for present, where, fill in groups:
+            block[np.ix_(~present[rows], where)] = fill
+        if not lo:
+            block[0, 0] = 0  # no ",\n" before the first record
+        write("".join(tokens.texts[block.ravel()].tolist()))
     write("\n ]\n}\n")
 
 
@@ -275,14 +340,6 @@ def _projective_rows(vectors: np.ndarray, layers: np.ndarray, b: np.ndarray):
     return coords, finite, by_layer
 
 
-def _projective_texts(coords: np.ndarray, finite: np.ndarray, column: _FloatTexts) -> list[str]:
-    """JSON text of each row's projective coordinates; a row at infinity reads null."""
-    texts = _list_texts(coords, column)
-    for i in np.flatnonzero(~finite).tolist():
-        texts[i] = "null"
-    return texts
-
-
 def cmd_roots(args) -> int:
     g = _read_graph(args.graph)
     vectors, depths, heights = _root_columns(g, args.depth, max_records=args.max_records)
@@ -293,18 +350,14 @@ def cmd_roots(args) -> int:
         "count": len(vectors),
         "quadratic_residual_by_depth": residual_by_depth,
     }
-    coord_texts, height_texts, projective_texts = (_FloatTexts() for _ in range(3))
-
-    def block(rows: slice) -> dict:
-        return {
-            "coords": _list_texts(vectors[rows], coord_texts),
-            "depth": _int_texts(depths[rows]),
-            "height": height_texts(heights[rows]),
-            "projective": _projective_texts(coords[rows], finite[rows], projective_texts),
-        }
-
+    fields = [
+        _Field("coords", vectors),
+        _Field("depth", depths),
+        _Field("height", heights),
+        _Field("projective", coords, present=finite, absent="null"),
+    ]
     with _output(args.out) as write:
-        _write_records(write, head, "records", len(vectors), block)
+        _write_records(write, head, "records", fields)
     return 0
 
 
@@ -320,23 +373,17 @@ def cmd_weights(args) -> int:
         "count": len(vectors),
         "quadratic_residual_by_length": residual_by_length,
     }
-    class_text = {k: json.dumps(k.value) for k in VectorClass}
-
-    coord_texts, height_texts, norm_texts, projective_texts = (_FloatTexts() for _ in range(4))
-
-    def block(rows: slice) -> dict:
-        return {
-            "coords": _list_texts(vectors[rows], coord_texts),
-            "word_length": _int_texts(lengths[rows]),
-            "height": height_texts(vectors[rows].sum(axis=1)),
-            "norm": norm_texts(norms[rows]),
-            "class": [class_text[k] for k in classes[rows]],
-            "color": _int_texts(colors[rows]),
-            "projective": _projective_texts(coords[rows], finite[rows], projective_texts),
-        }
-
+    fields = [
+        _Field("coords", vectors),
+        _Field("word_length", lengths),
+        _Field("height", vectors.sum(axis=1)),
+        _Field("norm", norms),
+        _Field("class", classes, {k: json.dumps(k.value) for k in VectorClass}),
+        _Field("color", colors),
+        _Field("projective", coords, present=finite, absent="null"),
+    ]
     with _output(args.out) as write:
-        _write_records(write, head, "records", len(vectors), block)
+        _write_records(write, head, "records", fields)
     return 0
 
 
@@ -384,25 +431,21 @@ def cmd_pack(args) -> int:
             "n_deep_pairs": len(report.deep_pairs),
         },
     }
-    halfspace = packing.halfspace
-    center_texts, radius_texts, curvature_texts, kc_texts = (_FloatTexts() for _ in range(4))
-
-    def block(rows: slice) -> dict:
-        return {
-            "color": _int_texts(colors[rows]),
-            "word_length": _int_texts(lengths[rows]),
-            "cap_center": _list_texts(packing.cap_centers[rows], center_texts),
-            "cap_radius": radius_texts(packing.cap_radii[rows]),
-            "curvature": curvature_texts(packing.curvatures[rows]),
-            "curvature_center": _list_texts(packing.curvature_centers[rows], kc_texts),
-            "halfspace_offset": [
-                json.dumps(offset) if half else None
-                for half, offset in zip(halfspace[rows].tolist(), packing.halfspace_offsets[rows])
-            ],
-        }
-
+    fields = [
+        _Field("color", colors),
+        _Field("word_length", lengths),
+        _Field("cap_center", packing.cap_centers),
+        _Field("cap_radius", packing.cap_radii),
+        _Field("curvature", packing.curvatures),
+        _Field("curvature_center", packing.curvature_centers),
+        _Field(
+            "halfspace_offset",
+            np.array(packing.halfspace_offsets, dtype=float),  # None reads nan
+            present=packing.halfspace,
+        ),
+    ]
     with _output(args.out) as write:
-        _write_records(write, head, "balls", len(lengths), block)
+        _write_records(write, head, "balls", fields)
     return 0
 
 
@@ -486,8 +529,9 @@ def _bounded(kind, low, high=math.inf, strict=False):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; each subcommand takes only the options it reads."""
+    """The command-line parser, built once; each subcommand takes only the options it reads."""
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
         "--tol", type=_bounded(float, 0, strict=True), default=1e-3,
@@ -508,19 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[tol, out], help="type, signature, level, weights")
     p.add_argument("graph", help="graph file (JSON or compact form)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("roots", parents=[cap, out], help="positive roots up to a depth, as JSON")
     p.add_argument("graph")
     p.add_argument("--depth", type=_bounded(int, 1), required=True, help="root depth, >= 1")
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser(
         "weights", parents=[cap, out], help="weight orbit up to a word length, as JSON"
     )
     p.add_argument("graph")
     p.add_argument("--length", **length)
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("pack", parents=[tol, cap, out], help="ball packing data or SVG")
     p.add_argument("graph")
@@ -531,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop smaller disks (px), finite and >= 0",
     )
     p.add_argument("--canvas", type=_bounded(int, 1), default=800, help="canvas size in px, >= 1")
-    p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser(
         "tangency", parents=[tol, cap, out], help="tangency graph of a level-2 system"
@@ -539,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--length", **length)
     p.add_argument("--format", choices=["json", "edges"], default="json")
-    p.set_defaults(func=cmd_tangency)
 
     p = sub.add_parser("enum", parents=[tol], help="census of level-2 graphs")
     p.add_argument("--max-rank", type=_bounded(int, 5, 11), default=11, help="top rank, in 5..11")
@@ -549,17 +588,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=_bounded(int, 1), default=1, help=">= 1; the census runs in one process"
     )
-    p.set_defaults(func=cmd_enum)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # a usage error, like argparse's: before the work, and before exits 3-7
         _check_writable([p for p in (args.out, getattr(args, "json", None)) if p])
-        return args.func(args)
+        # looked up at each call, so a replaced cmd_* (a test's or a tracer's) runs
+        return globals()[f"cmd_{args.command}"](args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

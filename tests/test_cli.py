@@ -105,6 +105,40 @@ def test_enum_checks_its_outputs_before_the_census(capsys, tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
 
 
+def test_cached_parser_runs_a_replaced_command(graph_file, capsys, monkeypatch, universal4):
+    """main builds its parser once, and finds cmd_<command> in the module at each call."""
+    from coxpack import cli
+
+    path = graph_file(universal4)
+    code, out, _ = run(capsys, ["roots", path, "--depth", "2"])
+    assert code == 0 and json.loads(out)["count"] == 16
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_roots", lambda args: seen.append(args.depth) or 0)
+    assert run(capsys, ["roots", path, "--depth", "3"]) == (0, "", "")
+    assert seen == [3]
+
+
+def test_usage_error_leaves_no_state_in_the_parser(graph_file, capsys, universal4):
+    """After usage errors, the cached parser reads a command line as a new parser does."""
+    from coxpack import cli
+
+    path = graph_file(universal4)
+    for bad in (
+        ["pack", path, "--length", "x", "--format", "svg", "--canvas", "9"],
+        ["pack", path, "--length", "2", "--format", "png"],
+        ["roots", path, "--depth", "0", "--max-records", "4"],
+    ):
+        code, out, err = run(capsys, bad)
+        assert code == 2 and not out and "usage:" in err
+    good = ["pack", path, "--length", "2"]
+    got = cli.build_parser().parse_args(good)
+    assert vars(got) == vars(cli.build_parser.__wrapped__().parse_args(good))
+    assert got.format == "json" and got.canvas == 800 and got.max_records is None
+    code, out, _ = run(capsys, good)
+    assert code == 0 and json.loads(out)["balls"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,14 +14,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coxpack as cp
 import reference_docs as ref
 from coxpack import cli
 from coxpack.balls import _check_caps, project_packing
-from coxpack.cli import _FloatTexts, _int_texts, _list_texts, _write_records, main
+from coxpack.cli import _Field, _Tokens, _write_records, main
 
 # The acceptance limit systems at the benchmark's roots depth, weights length
 # and pack length.
@@ -199,16 +199,25 @@ def test_roots_peak_memory_is_below_its_output(tmp_path, universal4):
 
 
 def test_float_texts_keep_a_bounded_table(monkeypatch):
-    floats = _FloatTexts()
-    values = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e22, 0.1]
-    assert floats(values) == [json.dumps(v) for v in values]
-    assert len(floats.bits) == 7 and np.all(floats.bits[:-1] < floats.bits[1:])
-    floats.texts[np.searchsorted(floats.bits, np.float64(1e22).view(np.uint64))] = "kept"
-    assert floats(np.array([[1e22], [2.5]])) == ["kept", "2.5"]
-    assert len(floats.bits) == 8
+    tokens = _Tokens(["[\n    "])
+    assert tokens.texts.tolist() == ["", "null", "[\n    "] and tokens.fixed == 3
+    values = np.array([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e22, 0.1])
+    ids = tokens.floats(values)
+    assert tokens.texts[ids].tolist() == [json.dumps(v) for v in values.tolist()]
+    assert ids[0] == ids[-1] and tokens.size == 3 + 7
+    assert len(tokens.bits) == 7 and np.all(tokens.bits[:-1] < tokens.bits[1:])
+    at = np.searchsorted(tokens.bits, np.float64(1e22).view(np.uint64))
+    tokens.texts[tokens.ids[at]] = "kept"
+    ids = tokens.floats(np.array([[1e22], [2.5]]))
+    assert ids.shape == (2, 1) and tokens.texts[ids.ravel()].tolist() == ["kept", "2.5"]
+    assert len(tokens.bits) == 8 and tokens.size == 3 + 8
+    ints = tokens.ints(np.array([[12, 3], [3, -1]]))  # a block's int texts are not kept
+    assert tokens.texts[ints.ravel()].tolist() == ["12", "3", "3", "-1"] and tokens.size == 3 + 8
     monkeypatch.setattr(cli, "_TABLE_SIZE", 9)
-    assert floats([1e22, 3.5]) == ["1e+22", "3.5"]  # the table starts afresh first
-    assert floats.texts.tolist() == ["3.5", "1e+22"]
+    ids = tokens.floats(np.array([1e22, 3.5]))  # the float texts start afresh first
+    assert tokens.texts[ids].tolist() == ["1e+22", "3.5"] and tokens.size == 3 + 2
+    assert tokens.texts[tokens.ids].tolist() == ["3.5", "1e+22"] and len(tokens.bits) == 2
+    assert tokens.texts[:3].tolist() == ["", "null", "[\n    "]
 
 
 @pytest.mark.parametrize("cmd", ["roots", "weights", "pack"])
@@ -225,18 +234,16 @@ def test_record_cap_counts_every_record(tmp_path, capsys, universal4, cmd):
 # -- the writer against json.dumps ------------------------------------------
 
 
-def dump_records(head: dict, key: str, columns: dict, block_rows: int = cli._BLOCK_ROWS) -> str:
-    """_write_records' text for records given as whole columns, block_rows at a time."""
+def dump_records(head: dict, key: str, fields: list, block_rows: int = cli._BLOCK_ROWS) -> str:
+    """_write_records' text, block_rows records at a time."""
     parts: list[str] = []
-    count = len(next(iter(columns.values()), []))
     with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
-        _write_records(
-            parts.append, head, key, count, lambda rows: {k: v[rows] for k, v in columns.items()}
-        )
+        _write_records(parts.append, head, key, fields)
     return "".join(parts)
 
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e22, 0.1, -2.5e-8]
+CLASSES = ["space_like", "time_like", "light_like"]
 floats = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -257,14 +264,15 @@ values = st.recursive(
 def record_docs(draw):
     """A head of any JSON values and records shaped like the orbit commands' rows."""
     head = draw(st.dictionaries(ascii_text.filter(lambda k: k != "rows"), values, max_size=5))
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 10))
     width = draw(st.integers(0, 3))
     rows = [
         {
             "coords": [draw(floats) for _ in range(width)],
             "depth": draw(st.integers(-5, 10**6)),
             "norm": draw(floats),
-            "class": draw(st.sampled_from(["space_like", "time_like", "light_like"])),
+            "class": draw(st.sampled_from(CLASSES)),
+            "color": draw(st.integers(0, 12)),
             "projective": draw(st.none() | st.just([draw(floats) for _ in range(width)])),
             "halfspace_offset": draw(st.none() | floats),
         }
@@ -273,58 +281,85 @@ def record_docs(draw):
     return head, rows, width
 
 
-def _columns(rows, width):
-    coords = np.array([r["coords"] for r in rows], dtype=float).reshape(len(rows), width)
-    projective = np.array(
-        [[0.0] * width if r["projective"] is None else r["projective"] for r in rows],
-        dtype=float,
-    ).reshape(len(rows), width)
-    table = _FloatTexts()  # shared by the columns, to check texts kept across calls
-    proj_texts = _list_texts(projective, table)
+def _fields(rows, width):
+    """The records' columns as the commands give them; absent values read 0.0 there."""
+    n = len(rows)
+    projective = [[0.0] * width if r["projective"] is None else r["projective"] for r in rows]
     offsets = [r["halfspace_offset"] for r in rows]
-    offset_texts = table([0.0 if v is None else v for v in offsets])
-    return {
-        "coords": _list_texts(coords, table),
-        "depth": _int_texts([r["depth"] for r in rows]),
-        "norm": table([r["norm"] for r in rows]),
-        "class": [json.dumps(r["class"]) for r in rows],
-        "projective": [
-            "null" if r["projective"] is None else t for r, t in zip(rows, proj_texts)
-        ],
-        "halfspace_offset": [None if v is None else t for v, t in zip(offsets, offset_texts)],
-    }
+    return [
+        _Field("coords", np.array([r["coords"] for r in rows], dtype=float).reshape(n, width)),
+        _Field("depth", np.array([r["depth"] for r in rows], dtype=np.int64)),
+        _Field("norm", np.array([r["norm"] for r in rows], dtype=float)),
+        _Field("class", np.array([r["class"] for r in rows]), {c: json.dumps(c) for c in CLASSES}),
+        _Field("color", np.array([r["color"] for r in rows], dtype=np.int64)),
+        _Field(
+            "projective",
+            np.array(projective, dtype=float).reshape(n, width),
+            present=np.array([r["projective"] is not None for r in rows], dtype=bool),
+            absent="null",
+        ),
+        _Field(
+            "halfspace_offset",
+            np.array([0.0 if v is None else v for v in offsets], dtype=float),
+            present=np.array([v is not None for v in offsets], dtype=bool),
+        ),
+    ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(record_docs(), st.integers(1, 7))
-def test_writer_matches_json_dumps(doc, block_rows):
-    head, rows, width = doc
+def _want(head, rows) -> str:
+    """json.dumps of the document, each record without its absent halfspace_offset."""
     want_rows = [
         {k: v for k, v in r.items() if k != "halfspace_offset" or v is not None} for r in rows
     ]
-    want = json.dumps({**head, "rows": want_rows}, indent=1) + "\n"
-    assert dump_records(head, "rows", _columns(rows, width), block_rows) == want
+    return json.dumps({**head, "rows": want_rows}, indent=1) + "\n"
+
+
+# Every special float, null projective rows between others, present and
+# absent offsets, ints above 9: rendered with the float texts reset in
+# mid-document at every block size.
+EDGE_ROWS = [
+    {"coords": [-0.0, math.nan, math.inf], "depth": 12, "norm": -math.inf, "class": "time_like",
+     "color": 10, "projective": None, "halfspace_offset": 0.25},
+    {"coords": [0.1, -0.0, 1e22], "depth": 3, "norm": 0.0, "class": "space_like",
+     "color": 0, "projective": [1.0, -0.0, math.nan], "halfspace_offset": None},
+    {"coords": [math.inf, -math.inf, 0.1], "depth": 1234567, "norm": math.nan,
+     "class": "light_like", "color": 9, "projective": None, "halfspace_offset": -0.0},
+    {"coords": [2.5, 2.5, -2.5e-8], "depth": -5, "norm": 1e-300, "class": "space_like",
+     "color": 11, "projective": [0.5, math.inf, -math.inf], "halfspace_offset": math.nan},
+    {"coords": [0.1, 0.2, 0.3], "depth": 10, "norm": 0.1, "class": "time_like",
+     "color": 3, "projective": None, "halfspace_offset": None},
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(record_docs(), st.one_of(st.integers(1, 16), st.just(cli._TABLE_SIZE)))
+@example(({"graph": "n=3"}, EDGE_ROWS, 3), 4)
+def test_writer_matches_json_dumps(doc, table_size):
+    """At blocks of 1, 3 and _BLOCK_ROWS records, with the float texts kept
+    across blocks or started afresh, in mid-document, when a block would take
+    them past table_size."""
+    head, rows, width = doc
+    want = _want(head, rows)
+    fields = _fields(rows, width)
+    with mock.patch.object(cli, "_TABLE_SIZE", table_size):
+        for block_rows in BLOCKS:
+            assert dump_records(head, "rows", fields, block_rows) == want
 
 
 def test_writer_special_floats_and_halfspace_row():
     head = {"nested": {"a": [math.nan, -0.0, np.float64(0.1)], "b": {}, "c": []}, "flag": True}
-    rows = [
-        {"coords": [math.inf, -math.inf, 1e-300], "depth": 1, "norm": np.float64(1e22),
-         "class": "space_like", "projective": None, "halfspace_offset": None},
-        {"coords": [-0.0, math.nan, 0.1], "depth": 2, "norm": -0.0,
-         "class": "time_like", "projective": [1.0, 2.0, 3.0], "halfspace_offset": 0.25},
-    ]
-    text = dump_records(head, "rows", _columns(rows, 3))
-    assert dump_records(head, "rows", _columns(rows, 3), block_rows=1) == text
-    want_rows = [dict(rows[0]), rows[1]]
-    del want_rows[0]["halfspace_offset"]
-    assert text == json.dumps({**head, "rows": want_rows}, indent=1) + "\n"
-    assert '"halfspace_offset": 0.25' in text and "NaN" in text and "-Infinity" in text
+    rows = EDGE_ROWS[:2]
+    text = dump_records(head, "rows", _fields(rows, 3))
+    assert dump_records(head, "rows", _fields(rows, 3), block_rows=1) == text
+    assert text == _want(head, rows)
+    assert '"halfspace_offset": 0.25' in text and text.count("halfspace_offset") == 1
+    assert '"projective": null' in text and "NaN" in text and "-Infinity" in text
 
 
 def test_writer_zero_records():
     head = {"graph": "n=1", "count": 0}
-    assert dump_records(head, "records", {"coords": [], "depth": []}) == (
+    fields = [_Field("coords", np.empty((0, 3))), _Field("depth", np.empty(0, dtype=np.int64))]
+    assert dump_records(head, "records", fields) == (
         json.dumps({**head, "records": []}, indent=1) + "\n"
     )
 
