@@ -20,12 +20,15 @@ inside it, so each deletion of each batch has a table of those
 sub-labelings, and every candidate reads its verdict by mixed-radix code; a
 table row is bitwise the candidate's own minor, so the verdicts are exactly
 those of a per-candidate filter.  The tables of all batches of one shape
-are decided in waves of increasing inside-pair count, each wave in blocks
-of rows, and a wave decides only the rows that some candidate still alive
-reads: a candidate that fails a small table costs no row of a larger one.
-The one-vertex deletions are then decided in one stack for the candidates
-left.  The level-1 catalog decides levels 0 and 1 on Gram stacks and keys
-only the graphs it keeps; level is invariant under isomorphism, so the first
+are decided in waves of increasing inside-pair count.  A wave lists its rows
+deletion by deletion across the batches and decides them in blocks; after
+each block the candidates reading a failing row die, and the rows that no
+candidate still alive reads are dropped.  A candidate survives exactly when
+every row it reads passes, so skipping those rows changes no survivor, and
+a candidate that fails one row costs no later row.  The one-vertex
+deletions are then decided in one stack for the candidates left.  The
+level-1 catalog decides levels 0 and 1 on Gram stacks and keys only the
+graphs it keeps; level is invariant under isomorphism, so the first
 representative of each kept class is unchanged.  Every survivor is verified
 to have level 2 from its own Gram matrix, one stack per rank, before
 survivors are deduplicated by canonical key.  The census runs in one process.
@@ -126,11 +129,16 @@ def _members(uv: np.ndarray) -> np.ndarray:
     return np.ones(uv.shape[:1] + (len(_LABELS),) * uv.shape[1], dtype=bool)
 
 
-def _set_labels(stack: np.ndarray, at: np.ndarray, codes: np.ndarray, mask=True) -> np.ndarray:
+def _set_labels(stack: np.ndarray, at: np.ndarray, codes: np.ndarray, mask=None) -> np.ndarray:
     """Write the Gram entry of label code codes[i, p] into stack[i] at the
     symmetric places at[i, p] wherever mask[i, p] holds (everywhere by
-    default); returns the stack."""
-    i, p = np.nonzero(np.broadcast_to(mask, codes.shape))
+    default, one pair across the whole stack at a time); returns the stack."""
+    if mask is None:
+        i = np.arange(len(stack))
+        for (x, y), p in zip(at.transpose(1, 2, 0), codes.T):
+            stack[i, x, y] = stack[i, y, x] = _VALUES[p]
+        return stack
+    i, p = np.nonzero(mask)
     x, y = at[i, p].T
     stack[i, x, y] = stack[i, y, x] = _VALUES[codes[i, p]]
     return stack
@@ -405,15 +413,20 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     pairs.  The members alive are one boolean array ok, the _members mask,
     and read a deletion's table by mixed-radix code: its verdicts broadcast
     along the pairs outside.  Tables are decided in waves of increasing
-    inside-pair count, and a wave decides only the rows some member still
-    alive reads, in blocks of forms._per_call(n - 2) rows across batches and
-    deletions, _KERNEL_ENTRIES entries (809 minors at rank 11).
-    A member dies at a failing row; the rows it alone would read are never
-    decided.  Once the live members' codes take no more room than ok, a
-    wave takes them once and reads and kills only those members.  Some
-    one-vertex deletion must then fail, decided in one call on the Gram
-    matrices of the members left; by interlacing, the full matrix then
-    fails too and needs no test of its own.
+    inside-pair count.  A wave lists the rows some member alive reads,
+    deletion-major (one deletion across every batch, then the next), and
+    decides them in blocks of forms._per_call(n - 2) rows, _KERNEL_ENTRIES
+    entries (809 minors at rank 11); its first block holds a quarter of
+    that.  After each block, every member that reads a failing row dies,
+    and the rows left that no member alive reads are dropped, by the same
+    read tables the wave was listed from.  A member survives exactly when
+    every row it reads passes, and each row is bitwise its readers' own
+    minor, so a row that only dead members read can change no survivor.
+    Until the first kill every row is read; once the live members' codes
+    take no more room than ok, reads and kills go through those codes, not
+    the whole mask.  Some one-vertex deletion must then fail, decided in one
+    call on the Gram matrices of the members left; by interlacing, the full
+    matrix then fails too and needs no test of its own.
     """
     grams, uv = _stacked(batches)
     n, width = grams.shape[-1], uv.shape[1]
@@ -426,49 +439,84 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     masks = inside @ (1 << np.arange(width))
     counts = inside.sum(axis=-1)
     ok = _members(uv)
+    full = True  # every member alive, until the first kill
+    live = None  # the live members' coordinates, once they take no more room than ok
+
+    def table(mask: int) -> tuple[int, ...]:
+        """Shape of a table of inside pairs mask: ok's, with one code along each pair outside."""
+        return (len(ok), *(ok.shape[a + 1] if mask >> a & 1 else 1 for a in range(width)))
+
+    def projected(mask: int) -> tuple[np.ndarray, ...]:
+        """The live members' places in a table of inside pairs mask."""
+        return (live[0], *(x if mask >> a & 1 else 0 for a, x in enumerate(live[1:])))
+
+    def reads(mask: int) -> np.ndarray:
+        """Which rows of the tables of inside pairs mask some live member reads."""
+        if full:
+            return np.ones(table(mask), dtype=bool)
+        if live is None:
+            outside = tuple(a + 1 for a in range(width) if not mask >> a & 1)
+            return ok.any(axis=outside, keepdims=True)
+        read = np.zeros(table(mask), dtype=bool)
+        read[projected(mask)] = True
+        return read
+
+    def by_mask(b, d):
+        """Each inside-pair mask of the tables (batch b, deletion d), with where it is theirs."""
+        mask = masks[b, d]
+        return ((m, mask == m) for m in np.unique(mask).tolist())
+
+    def still_read(b, d, codes):
+        """The rows (batch b, deletion d, label codes) that some live member reads."""
+        keep = np.zeros(len(b), dtype=bool)
+        for m, sel in by_mask(b, d):
+            keep[sel] = reads(m)[(b[sel], *codes[sel].T)]
+        return b[keep], d[keep], codes[keep]
+
+    def kill(b, d, codes) -> None:
+        """Every member that reads one of the rows dies."""
+        nonlocal full, live
+        for m, sel in by_mask(b, d):
+            bad = np.zeros(table(m), dtype=bool)
+            bad[(b[sel], *codes[sel].T)] = True
+            if live is None:
+                np.logical_and(ok, ~bad, out=ok)
+            else:
+                ok[tuple(x[bad[projected(m)]] for x in live)] = False
+        full = False
+        if live is not None:
+            live = tuple(x[ok[live]] for x in live)
+        elif 8 * ok.ndim * np.count_nonzero(ok) <= ok.size:
+            live = np.unravel_index(np.flatnonzero(ok), ok.shape)
+
     per_call = _per_call(n - 2)
     for c in range(width + 1):
-        # wave c: each deletion with c pairs inside, each row a live member reads
-        rows, reads = [], []
-        wave = np.where(counts == c, masks, -1)
-        live = None
-        if 8 * ok.ndim * np.count_nonzero(ok) <= ok.size:
-            live = np.unravel_index(np.flatnonzero(ok), ok.shape)
-        for mask in np.unique(wave[wave >= 0]).tolist():
-            axes = [a for a in range(width) if mask >> a & 1]
-            outside = tuple(a + 1 for a in range(width) if not mask >> a & 1)
-            eb, ed = np.nonzero(wave == mask)
-            if live is None:
-                read, projected = ok.any(axis=outside), None
-            else:  # the same, projected from the live codes
-                read = np.zeros(ok.shape[: 1 + c], dtype=bool)
-                projected = (live[0], *(live[a + 1] for a in axes))
-                read[projected] = True
-            e, *digits = np.nonzero(read[eb])
-            codes = np.zeros((len(e), width), dtype=np.int8)
-            codes[:, axes] = np.array(digits, dtype=np.int8).reshape(c, len(e)).T
-            rows.append((eb[e], ed[e], codes))
-            reads.append((outside, (eb[e], *digits), projected))
+        # wave c: each deletion with c pairs inside, deletion-major, each row a live member reads
+        d, b = np.nonzero((counts == c).T)
+        rows = []
+        for m, sel in by_mask(b, d):
+            entry = np.flatnonzero(sel)
+            e, *digits = np.nonzero(reads(m)[b[entry]])
+            rows.append((entry[e], np.stack(digits, axis=-1).astype(np.int8)))
         if not rows:
             continue
-        b, d, codes = (np.concatenate(col) for col in zip(*rows))
-        verdicts = [np.ones(0, dtype=bool)]
-        for lo in range(0, len(b), per_call):
-            bb, dd = b[lo : lo + per_call], d[lo : lo + per_call]
+        entry, codes = (np.concatenate(col) for col in zip(*rows))
+        order = np.argsort(entry, kind="stable")
+        b, d, codes = b[entry[order]], d[entry[order]], codes[order]
+        # blocks of rows; after each, its failing rows kill and the rows no one alive reads drop.
+        # A small first block lets the first kills spare most of the wave's rows.
+        size = max(1, per_call // 4)
+        while len(b):
+            bb, dd, cc = b[:size], d[:size], codes[:size]
+            b, d, codes = b[size:], d[size:], codes[size:]
             keep = keeps[dd]
             minors = grams[bb[:, None, None], keep[:, :, None], keep[:, None, :]]
-            _set_labels(minors, at[bb, dd], codes[lo : lo + per_call], inside[bb, dd])
-            verdicts.append(minors_psd(minors, 0, zero_tol))
-        # a member reading a failing row dies
-        fails = ~np.concatenate(verdicts)
-        ends = np.cumsum([len(row[0]) for row in rows])
-        for (outside, where, projected), failed in zip(reads, np.split(fails, ends[:-1])):
-            bad = np.zeros(ok.shape[: 1 + width - len(outside)], dtype=bool)
-            bad[tuple(w[failed] for w in where)] = True
-            if projected is None:
-                ok &= ~np.expand_dims(bad, outside)
-            else:
-                ok[tuple(x[bad[projected]] for x in live)] = False
+            _set_labels(minors, at[bb, dd], cc, inside[bb, dd])
+            failed = ~minors_psd(minors, 0, zero_tol)
+            if failed.any():
+                kill(bb[failed], dd[failed], cc[failed])
+                b, d, codes = still_read(b, d, codes)
+            size = per_call
 
     # the members left, in batch order, to the one-vertex stage
     alive = np.argwhere(ok)

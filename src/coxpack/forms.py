@@ -119,7 +119,10 @@ def minors_psd(
     most _per_call(n - k) matrices, _KERNEL_ENTRIES entries: while many
     matrices remain, one deletion across them, a stack of rows at a time;
     while few remain, a block of deletions each.  A matrix drops out at its
-    first failing block.
+    first failing block.  A minor's verdict does not depend on the other
+    minors of its stack (the Cholesky screen works elementwise along the
+    stack, and eigvalsh factors each matrix alone), so neither the budget
+    nor the order of the stacks changes the mask.
     """
     _check_tol(zero_tol)
     grams = np.asarray(grams, dtype=float)
@@ -159,20 +162,24 @@ def _pivots_positive(stack: np.ndarray, shift: float) -> np.ndarray:
     """Mask of the matrices A in the stack whose A - shift*I has a Cholesky
     factorization with every pivot positive.
 
-    Each of the n pivot steps takes the Schur complement of the whole stack
-    in elementwise ops, so a matrix's pivots do not depend on the rest of
-    the stack.  A matrix stops changing at its first nonpositive pivot, so
-    no square root of a negative number and no division by zero happens.
+    A - shift*I is written once, entry-major: s[i, j] holds entry (i, j) of
+    every matrix, a contiguous vector along the stack.  Each of the n pivot
+    steps takes the Schur complement of the whole stack in elementwise ops
+    on those vectors, so a matrix's pivots do not depend on the rest of the
+    stack, and each entry goes through the same IEEE operations, in the same
+    order, as in a matrix-major (m, n, n) stack: the pivots are the same
+    bits.  A matrix stops changing at its first nonpositive pivot, so no
+    square root of a negative number and no division by zero happens.
     """
     n = stack.shape[-1]
     ok = np.ones(len(stack), dtype=bool)
-    s = stack - shift * np.eye(n)
+    s = np.subtract(stack.transpose(1, 2, 0), shift * np.eye(n)[:, :, None], order="C")
     for _ in range(n):
-        pivot = s[:, 0, 0]
+        pivot = s[0, 0]
         ok &= pivot > 0
-        col = s[:, 1:, :1] / np.sqrt(np.where(ok, pivot, np.inf))[:, None, None]
-        outer = col * col.transpose(0, 2, 1)
-        s = np.subtract(s[:, 1:, 1:], outer, out=outer)
+        col = s[1:, 0] / np.sqrt(np.where(ok, pivot, np.inf))
+        outer = col[:, None] * col[None, :]
+        s = np.subtract(s[1:, 1:], outer, out=outer)
     return ok
 
 

@@ -11,6 +11,8 @@ signed vertices by their edges: it signs each vertex by its full row of
 
 nominate builds the candidates of the nomination batches one CoxeterGraph at
 a time, the reference for the label-code Gram stacks the census decides.
+pivots_positive is the Cholesky screen as forms._pivots_positive ran it on
+matrix-major (m, n, n) stacks, the reference for its entry-major layout.
 """
 
 from __future__ import annotations
@@ -58,6 +60,22 @@ def minors_pass(grams: np.ndarray, k: int, tol: float, finite: bool = False) -> 
     mask = np.zeros(len(grams), dtype=bool)
     mask[alive] = True
     return mask
+
+
+def pivots_positive(stack: np.ndarray, shift: float) -> np.ndarray:
+    """Mask of the matrices A in the (m, n, n) stack whose A - shift*I has a
+    Cholesky factorization with every pivot positive, each pivot step taken
+    on strided (m, n, n) slices."""
+    n = stack.shape[-1]
+    ok = np.ones(len(stack), dtype=bool)
+    s = stack - shift * np.eye(n)
+    for _ in range(n):
+        pivot = s[:, 0, 0]
+        ok &= pivot > 0
+        col = s[:, 1:, :1] / np.sqrt(np.where(ok, pivot, np.inf))[:, None, None]
+        outer = col * col.transpose(0, 2, 1)
+        s = np.subtract(s[:, 1:, 1:], outer, out=outer)
+    return ok
 
 
 def filter_level2_arrays(grams: np.ndarray, tol: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import coxpack as cp
 from coxpack import census, forms
 from coxpack.forms import FormError, minors_psd
 from coxpack.tangency import is_strict_level2
-from reference_census import filter_level2_arrays
+from reference_census import filter_level2_arrays, pivots_positive
 
 TOLS = (5e-4, 1e-3, 2e-3)
 
@@ -145,6 +145,38 @@ def test_screen_defers_exactly_the_near_band(monkeypatch, tol, finite):
     want = [next(minor_min_eigs(b, 0)) for b in grams]
     assert got.tolist() == [low > t if finite else low >= t for low in want]
     assert got[:3].tolist() == [False] * 3 and got[-3:].tolist() == [True] * 3
+
+
+# the Gram entry of an edge: labels 3-6, an infinite bond and dotted edges
+BONDS = [np.cos(np.pi / m) for m in (3, 4, 5, 6)] + [1.0, 1.5, 3.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 11),
+    count=st.integers(1, 300),
+    density=st.sampled_from((0.2, 0.4, 0.8)),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from(TOLS),
+)
+def test_screen_matches_the_matrix_major_reference(n, count, density, seed, tol):
+    """The entry-major screen gives the mask of the matrix-major one on
+    Coxeter-like stacks of rank 1-11: at the margins t +- tol/2 around both
+    thresholds t = +-tol, and on both sides of, and at, an eigenvalue of
+    each matrix, where its last pivot is roundoff and its sign follows the
+    last bits of every step before it."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((count, n, n)) < density, 1) * rng.choice(BONDS, (count, n, n))
+    grams = np.eye(n) - upper - upper.transpose(0, 2, 1)
+    for shift in (t + s * tol / 2 for t in (tol, -tol) for s in (-1, 1)):
+        want = pivots_positive(grams, shift)
+        assert forms._pivots_positive(grams, shift).tolist() == want.tolist()
+    # each matrix less one of its eigenvalues, singular up to roundoff
+    eigen = np.linalg.eigvalsh(grams)[np.arange(count), rng.integers(n, size=count)]
+    near = grams - eigen[:, None, None] * np.eye(n)
+    for shift in (-1e-9, -1e-13, 0.0, 1e-13, 1e-9):
+        want = pivots_positive(near, shift)
+        assert forms._pivots_positive(near, shift).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
