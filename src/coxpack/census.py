@@ -3,11 +3,15 @@
 Candidates are nominated family by family from a catalog of level-1 graphs
 (trees, cycles, and cycles with a pendant edge) plus three simply-laced
 special graphs.  A family is a list of batches: a base graph plus a few free
-vertex pairs, standing for every labeling of those pairs.  The members of
-the batches of one shape (rank and free-pair count), whatever their
-families, are one boolean mask over label codes (_members), so a candidate
-is a row of codes, and a CoxeterGraph is built only for the candidates that
-pass numeric level recognition (about 890 of 380k at rank 11).
+vertex pairs, standing for every labeling of those pairs; the batches that
+add a vertex to one graph share one base.  The census works on label codes
+from the catalog to the output: a graph is a (n, n) matrix of codes, its
+Gram matrix and its canonical key are computed from the codes, and a
+CoxeterGraph is built only for a base, a level-1 class of the catalog and a
+census entry (607 graphs at rank 11, for 379,908 candidates).  The members
+of the batches of one shape (rank and free-pair count), whatever their
+families, are one boolean mask over the free pairs' codes (_members), and
+the free pairs are checked on their arrays (_stacked).
 
 Recognition decides each minor at most once, and only when a live
 candidate reads it.  A graph has level 2 when every two-vertex deletion is
@@ -26,12 +30,17 @@ each block the candidates reading a failing row die, and the rows that no
 candidate still alive reads are dropped.  A candidate survives exactly when
 every row it reads passes, so skipping those rows changes no survivor, and
 a candidate that fails one row costs no later row.  The one-vertex
-deletions are then decided in one stack for the candidates left.  The
-level-1 catalog decides levels 0 and 1 on Gram stacks and keys only the
-graphs it keeps; level is invariant under isomorphism, so the first
-representative of each kept class is unchanged.  Every survivor is verified
-to have level 2 from its own Gram matrix, one stack per rank, before
-survivors are deduplicated by canonical key.  The census runs in one process.
+deletions are then decided in one stack for the candidates left.
+
+The level-1 catalog grows one rank per step: the step's candidates decide
+levels 0 and 1 on one Gram stack, and only those of level <= 1 are keyed,
+in one key search; level is invariant under isomorphism, so the first
+representative of each kept class is unchanged.  Every survivor (890 at
+rank 11) is verified to have level 2 from its own Gram matrix, one stack
+per rank apart from recognition's tables, before survivors are
+deduplicated by canonical key, one key search per rank; the first survivor
+of each key becomes an entry, its strictness and fundamental weights taken
+on one stack per rank.  The census runs in one process.
 """
 
 from __future__ import annotations
@@ -49,9 +58,10 @@ from .forms import DEFAULT_ZERO_TOL, _levels, _per_call, fundamental_weights, mi
 from .graphs import (
     CoxeterGraph,
     EdgeLabel,
+    GraphError,
+    _token_keys,
     canonical_keys,
     complete_graph,
-    cycle_graph,
     to_compact,
 )
 from .tangency import (
@@ -62,7 +72,11 @@ from .tangency import (
 
 ADMISSIBLE_LABELS = (3, 4, 5, 6)
 _LABELS = tuple(EdgeLabel(m) for m in ADMISSIBLE_LABELS)
-_VALUES = np.array([lab.gram_entry() for lab in _LABELS])  # label code -> Gram entry
+_CODE = {m: c for c, m in enumerate(ADMISSIBLE_LABELS)}  # bond order -> label code
+_ABSENT = len(_LABELS)  # the code of a non-edge and of the diagonal
+# label code -> off-diagonal Gram entry
+_ENTRIES = np.array([lab.gram_entry() for lab in _LABELS] + [0.0])
+_TEXTS = [f"m{m}" for m in ADMISSIBLE_LABELS] + ["-"]  # code -> its text in a canonical key
 
 
 class Family(Enum):
@@ -95,7 +109,7 @@ class CensusEntry:
 
 
 # ---------------------------------------------------------------------------
-# Shape predicates and small graph surgery.
+# Batches, label codes and shape predicates.
 # ---------------------------------------------------------------------------
 
 
@@ -103,23 +117,70 @@ class CensusEntry:
 Batch = tuple[CoxeterGraph, tuple[tuple[int, int], ...]]
 
 
-def _joined(g: CoxeterGraph, *vs: int) -> Batch:
-    """Batch adding one vertex to g, joined to each of vs."""
-    return CoxeterGraph(g.rank + 1, g.edges), tuple((v, g.rank) for v in vs)
+def _grown(g: CoxeterGraph) -> CoxeterGraph:
+    """g with one more vertex, isolated."""
+    return CoxeterGraph(g.rank + 1, g.edges)
 
 
-def _labeled(base: CoxeterGraph, pairs, codes) -> CoxeterGraph:
-    """The batch member that gives free pair i the label of code codes[i]."""
-    return CoxeterGraph(
-        base.rank, base.edges + tuple((u, v, _LABELS[c]) for (u, v), c in zip(pairs, codes))
-    )
+def _joined(base: CoxeterGraph, *vs: int) -> Batch:
+    """Batch joining the last vertex of base, isolated in it, to each of vs."""
+    return base, tuple((v, base.rank - 1) for v in vs)
+
+
+def _code_stack(graphs: list[CoxeterGraph], n: int) -> np.ndarray:
+    """Label codes of graphs of rank n over ADMISSIBLE_LABELS, one (n, n) int8
+    matrix each: code c on an edge labeled ADMISSIBLE_LABELS[c], _ABSENT off the edges."""
+    edges = [(j, u, v, _CODE[lab.m]) for j, g in enumerate(graphs) for u, v, lab in g.edges]
+    j, u, v, c = np.array(edges, dtype=np.intp).reshape(-1, 4).T
+    stack = np.full((len(graphs), n, n), _ABSENT, dtype=np.int8)
+    stack[j, u, v] = stack[j, v, u] = c
+    return stack
+
+
+def _graphs(stack: np.ndarray) -> list[CoxeterGraph]:
+    """The graph of each (n, n) matrix of label codes in the stack."""
+    j, u, v = np.nonzero(np.triu(stack < _ABSENT, 1))
+    edges: list[list] = [[] for _ in stack]
+    for at, x, y, c in zip(j.tolist(), u.tolist(), v.tolist(), stack[j, u, v].tolist()):
+        edges[at].append((x, y, _LABELS[c]))
+    return [CoxeterGraph(stack.shape[-1], tuple(e)) for e in edges]
+
+
+def _grams(stack: np.ndarray) -> np.ndarray:
+    """Gram matrices of a stack of label codes, bitwise their graphs' CoxeterGraph.gram."""
+    grams = _ENTRIES[stack]
+    diagonal = np.arange(stack.shape[-1])
+    grams[:, diagonal, diagonal] = 1.0
+    return grams
 
 
 def _stacked(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
-    """Batches of one shape as arrays: batch b has the base Gram matrix
-    grams[b] (zero at its free pairs) and free pair p at the vertices uv[b, p]."""
-    uv = np.array([pairs for _, pairs in batches], dtype=int).reshape(len(batches), -1, 2)
-    return np.stack([base.gram for base, _ in batches]), uv
+    """Batches of one shape as arrays: batch b has the base label codes
+    stack[b] and free pair p at the vertices uv[b, p].
+
+    Raises GraphError unless the batches share one rank and free-pair count,
+    and each free pair joins two distinct vertices in range that no other
+    pair of its batch and no base edge joins.
+    """
+    shapes = sorted({(base.rank, len(pairs)) for base, pairs in batches})
+    if len(shapes) != 1:
+        raise GraphError(f"batches of one (rank, free pairs) shape expected, got {shapes}")
+    [(n, width)] = shapes
+    uv = np.array([pairs for _, pairs in batches], dtype=np.intp).reshape(len(batches), width, 2)
+    stack = _code_stack([base for base, _ in batches], n)
+
+    def refuse(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            b, p = np.argwhere(bad)[0]
+            raise GraphError(f"free pair {tuple(uv[b, p].tolist())} of batch {b} {what}")
+
+    refuse(((uv < 0) | (uv >= n)).any(axis=-1), f"is out of range (rank {n})")
+    u, v = uv[..., 0], uv[..., 1]
+    refuse(u == v, "is a self-loop")
+    refuse(stack[np.arange(len(uv))[:, None], u, v] != _ABSENT, "duplicates a base edge")
+    pair = np.minimum(u, v) * n + np.maximum(u, v)
+    refuse(np.tril(pair[:, :, None] == pair[:, None, :], -1).any(axis=-1), "is repeated")
+    return stack, uv
 
 
 def _members(uv: np.ndarray) -> np.ndarray:
@@ -129,18 +190,27 @@ def _members(uv: np.ndarray) -> np.ndarray:
     return np.ones(uv.shape[:1] + (len(_LABELS),) * uv.shape[1], dtype=bool)
 
 
-def _set_labels(stack: np.ndarray, at: np.ndarray, codes: np.ndarray, mask=None) -> np.ndarray:
-    """Write the Gram entry of label code codes[i, p] into stack[i] at the
-    symmetric places at[i, p] wherever mask[i, p] holds (everywhere by
-    default, one pair across the whole stack at a time); returns the stack."""
+def _member_codes(stack: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Label codes of every member of the batches with base codes stack and
+    free pairs uv, in _members order."""
+    members = np.argwhere(_members(uv))
+    b, codes = members[:, 0], members[:, 1:]
+    return _set_labels(stack[b], uv[b], codes)
+
+
+def _set_labels(stack: np.ndarray, at: np.ndarray, values: np.ndarray, mask=None) -> np.ndarray:
+    """Write values[i, p], label codes into a code stack or their Gram
+    entries into a Gram stack, into stack[i] at the symmetric places
+    at[i, p] wherever mask[i, p] holds (everywhere by default, one pair
+    across the whole stack at a time); returns the stack."""
     if mask is None:
         i = np.arange(len(stack))
-        for (x, y), p in zip(at.transpose(1, 2, 0), codes.T):
-            stack[i, x, y] = stack[i, y, x] = _VALUES[p]
+        for (x, y), value in zip(at.transpose(1, 2, 0), values.T):
+            stack[i, x, y] = stack[i, y, x] = value
         return stack
     i, p = np.nonzero(mask)
     x, y = at[i, p].T
-    stack[i, x, y] = stack[i, y, x] = _VALUES[codes[i, p]]
+    stack[i, x, y] = stack[i, y, x] = values[i, p]
     return stack
 
 
@@ -194,57 +264,57 @@ def _path_order(g: CoxeterGraph) -> list[int]:
 # level-1 tree is a level-0 tree plus one pendant edge, a level-1 cycle is a
 # level-0 path with its ends joined to a new vertex, and a level-1 tailed
 # cycle hangs a pendant edge on an unlabeled (all-3) cycle, the only
-# positive-semidefinite cycles.  Each growth step decides levels 0 and 1 on
-# one Gram stack and builds only the graphs of level <= 1, and keys them in
-# one canonical_keys call.
+# positive-semidefinite cycles.  The catalog grows one rank per step, as
+# label codes: the step's trees, cycles and tailed cycles are decided on one
+# Gram stack and keyed in one key search, and a graph is built only for the
+# first representative of each level-1 class.
 # ---------------------------------------------------------------------------
-
-
-def _levels01(batches: list[Batch], zero_tol: float):
-    """The members of level 0 or 1 of same-rank batches, with their levels, in order.
-
-    Both levels are decided on one _gram_stack, so apart from the first member
-    of each batch, which the stack builds as a check, a graph is built only for
-    a member of level <= 1, from the label codes its Gram matrix was built from.
-    """
-    grams, members = _gram_stack(batches)
-    levels = _levels(grams, zero_tol, below=2)
-    keep = levels <= 1
-    for (b, *codes), lv in zip(members[keep].tolist(), levels[keep].tolist()):
-        yield _labeled(*batches[b], codes), lv
 
 
 def _catalog_level01(max_n: int, zero_tol: float):
     """Level-0 trees by rank, and the level-1 trees, cycles and tailed cycles.
 
-    The level-1 trees and cycles come keyed, as dicts from canonical key to
-    graph in the order found; their growth loops key them anyway.
+    The level-0 trees are label-code stacks, one (tree, k, k) stack for each
+    rank k, one tree per class.  The level-1 trees, cycles and tailed cycles
+    come keyed, as dicts from canonical key to graph, each holding the first
+    member of its class in candidate order (base, vertex, labeling).
     """
-    l0_trees: dict[int, list[CoxeterGraph]] = {1: [CoxeterGraph(1)]}
+    l0_trees = {1: np.full((1, 1, 1), _ABSENT, dtype=np.int8)}
     l1_trees: dict[bytes, CoxeterGraph] = {}
-    for k in range(1, max_n):
-        grown: dict[bytes, CoxeterGraph] = {}
-        batches = [_joined(base, v) for base in l0_trees[k] for v in range(k)]
-        kept = list(_levels01(batches, zero_tol))
-        for key, (cand, lv) in zip(canonical_keys([cand for cand, _ in kept]), kept):
-            if key not in grown and key not in l1_trees:
-                (grown if lv == 0 else l1_trees)[key] = cand
-        l0_trees[k + 1] = list(grown.values())
-
-    l0_paths = {k: [t for t in trees if _is_path(t)] for k, trees in l0_trees.items()}
-
     l1_cycles: dict[bytes, CoxeterGraph] = {}
-    for k in range(2, max_n):
-        batches = [_joined(base, *_leaves(base)) for base in l0_paths[k]]
-        cands = [cand for cand, lv in _levels01(batches, zero_tol) if lv == 1]
-        for key, cand in zip(canonical_keys(cands), cands):
-            l1_cycles.setdefault(key, cand)
-
-    l1_tailed: list[CoxeterGraph] = []
-    for m in range(3, max_n):
-        batch = _joined(cycle_graph([3] * m), 0)
-        l1_tailed.extend(cand for cand, lv in _levels01([batch], zero_tol) if lv == 1)
-
+    l1_tailed: dict[bytes, CoxeterGraph] = {}
+    for k in range(1, max_n):
+        trees = l0_trees[k]
+        grown = np.full((len(trees), k + 1, k + 1), _ABSENT, dtype=np.int8)
+        grown[:, :k, :k] = trees
+        # (base codes, free pairs) of each kind of candidate; trees: each
+        # vertex of each level-0 tree joined to the new vertex k
+        t, v = np.divmod(np.arange(len(trees) * k), k)
+        kinds = [(grown[t], np.stack([v, np.full_like(v, k)], axis=-1)[:, None])]
+        if k >= 2:
+            # cycles: both ends of each level-0 path joined to k
+            degree = (trees < _ABSENT).sum(axis=2)
+            paths = np.flatnonzero((degree <= 2).all(axis=1))
+            ends = np.nonzero(degree[paths] == 1)[1].reshape(-1, 2)
+            kinds.append((grown[paths], np.stack([ends, np.full_like(ends, k)], axis=-1)))
+        if k >= 3:
+            # tailed cycles: vertex 0 of the all-3 cycle on k vertices joined to k
+            ring = np.full((1, k + 1, k + 1), _ABSENT, dtype=np.int8)
+            i = np.arange(k)
+            ring[0, i, (i + 1) % k] = ring[0, (i + 1) % k, i] = _CODE[3]
+            kinds.append((ring, np.array([[[0, k]]])))
+        stacks = [_member_codes(*batches) for batches in kinds]
+        stack = np.concatenate(stacks)
+        levels = _levels(_grams(stack), zero_tol, below=2)
+        kind = np.repeat(np.arange(len(stacks)), [len(x) for x in stacks])
+        kept = np.flatnonzero((levels == 1) | (kind == 0) & (levels == 0))
+        firsts: dict[bytes, int] = {}
+        for key, i in zip(_token_keys(stack[kept], _TEXTS), kept.tolist()):
+            firsts.setdefault(key, i)
+        l0_trees[k + 1] = stack[[i for i in firsts.values() if levels[i] == 0]]
+        classes = [(key, i) for key, i in firsts.items() if levels[i] == 1]
+        for (key, i), g in zip(classes, _graphs(stack[[i for _, i in classes]])):
+            (l1_trees, l1_cycles, l1_tailed)[kind[i]][key] = g
     return l0_trees, l1_trees, l1_cycles, l1_tailed
 
 
@@ -267,10 +337,12 @@ def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> lis
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
     _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, zero_tol)
-    keyed = [*l1_trees.items(), *l1_cycles.items()]
-    rest = [g for g in l1_tailed + _specials() if g.rank <= max_n]
-    keyed += zip(canonical_keys(rest), rest)
-    _check_level([g for _, g in keyed], 1, zero_tol, "catalog graph {} is not level 1")
+    specials = [g for g in _specials() if g.rank <= max_n]
+    keyed = [*l1_trees.items(), *l1_cycles.items(), *l1_tailed.items()]
+    keyed += zip(canonical_keys(specials), specials)
+    for n in sorted({g.rank for _, g in keyed}):
+        stack = _code_stack([g for _, g in keyed if g.rank == n], n)
+        _check_level(stack, 1, zero_tol, "catalog graph {} is not level 1")
     out: dict[bytes, CoxeterGraph] = {}
     for key, g in keyed:
         out.setdefault(key, g)
@@ -283,7 +355,7 @@ def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> lis
 # one, isolated in base), and the batch stands for the graphs that add every
 # free pair to base as an edge, over all labelings in itertools.product
 # order, as _members lists them.  enumerate_level2 filters the members as
-# label codes and builds graphs only for survivors.
+# label codes and keeps the survivors as label codes.
 # ---------------------------------------------------------------------------
 
 
@@ -302,12 +374,14 @@ _SPECIAL_INDEX = {Family.FROM_K4: 0, Family.FROM_K4_MINUS_E: 1, Family.FROM_K23:
 
 
 def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[Batch]:
-    """The batches of one family, in nomination order."""
+    """The batches of one family, in nomination order; the batches that add a
+    vertex to one graph share one base."""
     if family in _SPECIAL_INDEX:
         # a new vertex joined to a nonempty subset of a special graph
-        base = _specials()[_SPECIAL_INDEX[family]]
-        for r in range(1, base.rank + 1):
-            for subset in combinations(range(base.rank), r):
+        special = _specials()[_SPECIAL_INDEX[family]]
+        base = _grown(special)
+        for r in range(1, special.rank + 1):
+            for subset in combinations(range(special.rank), r):
                 yield _joined(base, *subset)
     elif family is Family.TWO_CYCLES:
         yield CoxeterGraph(5), ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4))  # butterfly
@@ -318,13 +392,14 @@ def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[
         # a path of level 1 closed up by a new vertex joined to both ends
         for p in level1:
             if _is_path(p):
-                yield _joined(p, *_leaves(p))
+                yield _joined(_grown(p), *_leaves(p))
     elif family is Family.CYCLE_TAIL1:
         # pendant edge on a level-1 cycle
         for cyc in level1:
             if _is_cycle(cyc):
+                base = _grown(cyc)
                 for v in range(cyc.rank):
-                    yield _joined(cyc, v)
+                    yield _joined(base, v)
         # level-1 tree with three leaves, new vertex joined to two of them;
         # the remaining branch becomes the tail and must have length one
         for t in level1:
@@ -334,63 +409,53 @@ def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[
             if len(leaves) != 3:
                 continue
             hub = next(v for v in range(t.rank) if t.degree(v) == 3)
+            base = _grown(t)
             for l1, l2 in combinations(leaves, 2):
                 third = next(x for x in leaves if x not in (l1, l2))
                 if third in t.neighbors(hub):
-                    yield _joined(t, l1, l2)
+                    yield _joined(base, l1, l2)
         # level-1 path, new vertex joined to the second and the last vertex
         for p in level1:
             if not _is_path(p) or p.rank < 3:
                 continue
             order = _path_order(p)
+            base = _grown(p)
             for seq in (order, order[::-1]):
-                yield _joined(p, seq[1], seq[-1])
+                yield _joined(base, seq[1], seq[-1])
     elif family is Family.CYCLE_TAIL2:
         # grow the tail of a level-1 tailed cycle by one edge
         for tc in level1:
             if _is_tailed_cycle(tc):
-                yield _joined(tc, _leaves(tc)[0])
+                yield _joined(_grown(tc), _leaves(tc)[0])
     elif family is Family.CYCLE_TWO_TAILS:
         # pendant edge on any cycle vertex of a level-1 tailed cycle
         for tc in level1:
             if not _is_tailed_cycle(tc):
                 continue
             tail = _leaves(tc)[0]
+            base = _grown(tc)
             for v in range(tc.rank):
                 if v != tail:
-                    yield _joined(tc, v)
+                    yield _joined(base, v)
     elif family is Family.TREE:
         for t in level1:
             if _is_tree(t):
+                base = _grown(t)
                 for v in range(t.rank):
-                    yield _joined(t, v)
+                    yield _joined(base, v)
     else:
         raise ValueError(f"unknown family {family!r}")
 
 
-def _checked(batches: list[Batch]) -> list[Batch]:
-    """The batches, once each one's first member is built as a graph.
-
-    So a malformed free pair (out of range, a self-loop, or a duplicate of
-    a pair or of a base edge) raises GraphError.
-    """
-    for base, pairs in batches:
-        _labeled(base, pairs, (0,) * len(pairs))
-    return batches
-
-
 def _gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of every member of the _checked batches of one shape,
-    bitwise their CoxeterGraph.gram, and the members, np.argwhere(_members).
+    """Gram matrices of every member of the batches of one shape, bitwise
+    their CoxeterGraph.gram, and the members, np.argwhere(_members).
 
-    The level-1 catalog decides its levels on these stacks; tests filter the
-    nomination stacks of each shape with a per-candidate eigvalsh filter as
-    the reference for _rank_survivors.
+    Tests filter the nomination stacks of each shape with a per-candidate
+    eigvalsh filter as the reference for _rank_survivors.
     """
-    grams, uv = _stacked(_checked(batches))
-    members = np.argwhere(_members(uv))
-    b, codes = members[:, 0], members[:, 1:]
-    return _set_labels(grams[b], uv[b], codes), members
+    stack, uv = _stacked(batches)
+    return _grams(_member_codes(stack, uv)), np.argwhere(_members(uv))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +493,8 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     call on the Gram matrices of the members left; by interlacing, the full
     matrix then fails too and needs no test of its own.
     """
-    grams, uv = _stacked(batches)
+    stack, uv = _stacked(batches)
+    grams = _grams(stack)
     n, width = grams.shape[-1], uv.shape[1]
     keeps = np.array(list(combinations(range(n), n - 2)))
     kept = np.zeros((len(keeps), n), dtype=bool)
@@ -511,7 +577,7 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
             b, d, codes = b[size:], d[size:], codes[size:]
             keep = keeps[dd]
             minors = grams[bb[:, None, None], keep[:, :, None], keep[:, None, :]]
-            _set_labels(minors, at[bb, dd], cc, inside[bb, dd])
+            _set_labels(minors, at[bb, dd], _ENTRIES[cc], inside[bb, dd])
             failed = ~minors_psd(minors, 0, zero_tol)
             if failed.any():
                 kill(bb[failed], dd[failed], cc[failed])
@@ -521,27 +587,18 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     # the members left, in batch order, to the one-vertex stage
     alive = np.argwhere(ok)
     b, codes = alive[:, 0], alive[:, 1:].astype(np.int8)
-    fails = ~minors_psd(_set_labels(grams[b], uv[b], codes), 1, zero_tol)
+    fails = ~minors_psd(_set_labels(grams[b], uv[b], _ENTRIES[codes]), 1, zero_tol)
     return [codes[fails & (b == i)] for i in range(len(batches))]
 
 
-def _by_rank(graphs: list[CoxeterGraph], decide) -> np.ndarray:
-    """decide(grams) on one stack of the graphs' own Gram matrices per rank, as one mask."""
-    mask = np.zeros(len(graphs), dtype=bool)
-    for n in sorted({g.rank for g in graphs}):
-        idx = [i for i, g in enumerate(graphs) if g.rank == n]
-        mask[idx] = decide(np.stack([graphs[i].gram for i in idx]))
-    return mask
+def _check_level(stack: np.ndarray, r: int, zero_tol: float, message: str) -> None:
+    """Raise InconsistencyError naming the first graph of a label-code stack whose level is not r.
 
-
-def _check_level(graphs: list[CoxeterGraph], r: int, zero_tol: float, message: str) -> None:
-    """Raise InconsistencyError naming the first graph whose level is not r.
-
-    Decided by forms._levels, as forms.level decides, on one Gram stack per rank.
+    Decided by forms._levels, as forms.level decides, on the graphs' Gram matrices.
     """
-    bad = np.flatnonzero(~_by_rank(graphs, lambda grams: _levels(grams, zero_tol, r + 1) == r))
+    bad = np.flatnonzero(_levels(_grams(stack), zero_tol, r + 1) != r)
     if bad.size:
-        raise InconsistencyError(message.format(to_compact(graphs[bad[0]])))
+        raise InconsistencyError(message.format(to_compact(_graphs(stack[bad[:1]])[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +606,7 @@ def _check_level(graphs: list[CoxeterGraph], r: int, zero_tol: float, message: s
 # ---------------------------------------------------------------------------
 
 
-def _make_entry(g: CoxeterGraph, key: bytes, family: Family, strict: bool) -> CensusEntry:
-    _, norms = fundamental_weights(g.gram)
+def _make_entry(g: CoxeterGraph, key: bytes, family: Family, strict: bool, norms) -> CensusEntry:
     roles = [classify_weight_norm(norm, level2=True) for norm in norms]
     return CensusEntry(
         g,
@@ -565,23 +621,34 @@ def _make_entry(g: CoxeterGraph, key: bytes, family: Family, strict: bool) -> Ce
 
 def _survivors(
     level1: list[CoxeterGraph], max_rank: int, zero_tol: float
-) -> list[tuple[Family, CoxeterGraph]]:
-    """Candidates that pass recognition, tagged with their family, in nomination order.
+) -> list[tuple[list[Family], np.ndarray]]:
+    """Candidates that pass recognition, one (families, codes) pair per rank
+    from 5 up, in nomination order: each survivor's family, and its label
+    codes as one (survivor, n, n) stack.
 
-    Candidates are filtered as label codes, the _checked batches of each
-    shape (rank and free-pair count) together, whatever their families;
-    only survivors become graphs.
+    Candidates are filtered as label codes, the batches of each shape (rank
+    and free-pair count) together, whatever their families; a survivor's
+    codes are its base's with its free pairs' codes written in.
     """
     tagged = [
         (f, b) for f in Family for b in _nomination_batches(f, level1) if 5 <= b[0].rank <= max_rank
     ]
-    batches = _checked([b for _, b in tagged])
-    shapes = [(base.rank, len(pairs)) for base, pairs in batches]
-    codes: dict[int, np.ndarray] = {}
+    shapes = [(base.rank, len(pairs)) for _, (base, pairs) in tagged]
+    found: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for shape in sorted(set(shapes)):
-        idx = [i for i, s in enumerate(shapes) if s == shape]
-        codes.update(zip(idx, _rank_survivors([batches[i] for i in idx], zero_tol)))
-    return [(f, _labeled(*b, row)) for i, (f, b) in enumerate(tagged) for row in codes[i].tolist()]
+        idx = np.array([i for i, s in enumerate(shapes) if s == shape])
+        batches = [tagged[i][1] for i in idx]
+        codes = _rank_survivors(batches, zero_tol)
+        stack, uv = _stacked(batches)
+        b = np.repeat(np.arange(len(idx)), [len(c) for c in codes])
+        members = _set_labels(stack[b], uv[b], np.concatenate(codes))
+        found.setdefault(shape[0], []).append((idx[b], members))
+    ranks = []
+    for n in sorted(found):
+        at, stack = (np.concatenate(col) for col in zip(*found[n]))
+        order = np.argsort(at, kind="stable")
+        ranks.append(([tagged[i][0] for i in at[order].tolist()], stack[order]))
+    return ranks
 
 
 def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> list[CensusEntry]:
@@ -590,22 +657,26 @@ def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> 
     Candidates come from the nomination families in declaration order; the
     first family to produce a graph keeps the tag.  Every survivor is
     verified to have level 2 from its own Gram matrix, independent of how it
-    was constructed.
+    was constructed, before survivors are deduplicated.  A graph is built
+    only for the first survivor of each key.
     """
     if not 5 <= max_rank <= 11:
         raise ValueError(f"max_rank must lie in 5..11, got {max_rank}")
     level1 = enumerate_level1(min(10, max_rank - 1), zero_tol)
-    survivors = _survivors(level1, max_rank, zero_tol)
-    _check_level([g for _, g in survivors], 2, zero_tol, "recognition accepted {} but level != 2")
-    firsts: dict[bytes, tuple[Family, CoxeterGraph]] = {}
-    for key, (family, g) in zip(canonical_keys([g for _, g in survivors]), survivors):
-        firsts.setdefault(key, (family, g))
-    graphs = [g for _, g in firsts.values()]
-    strict = _by_rank(graphs, lambda grams: minors_psd(grams, 2, zero_tol, finite=True))
-    entries = [
-        _make_entry(g, key, family, bool(s))
-        for (key, (family, g)), s in zip(firsts.items(), strict)
-    ]
+    entries = []
+    for families, stack in _survivors(level1, max_rank, zero_tol):
+        _check_level(stack, 2, zero_tol, "recognition accepted {} but level != 2")
+        firsts: dict[bytes, int] = {}
+        for i, key in enumerate(_token_keys(stack, _TEXTS)):
+            firsts.setdefault(key, i)
+        stack = stack[list(firsts.values())]
+        grams = _grams(stack)
+        strict = minors_psd(grams, 2, zero_tol, finite=True)
+        _, norms = fundamental_weights(grams)
+        entries += (
+            _make_entry(g, key, families[i], s, ns)
+            for (key, i), g, s, ns in zip(firsts.items(), _graphs(stack), strict.tolist(), norms)
+        )
     entries.sort(key=lambda e: e.key)
     return entries
 

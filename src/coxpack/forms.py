@@ -50,11 +50,12 @@ class Signature:
         return self.n_plus + self.n_zero + self.n_minus
 
 
-def _check_gram(b) -> np.ndarray:
+def _check_gram(b, stacked: bool = False) -> np.ndarray:
+    """b as a float array: one symmetric matrix, or with stacked=True a stack (m, n, n) of them."""
     b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim != 2 + stacked or b.shape[-2] != b.shape[-1]:
         raise FormError(f"expected a square matrix, got shape {b.shape}")
-    if b.size and np.abs(b - b.T).max() > _SYMMETRY_TOL:
+    if b.size and np.abs(b - np.swapaxes(b, -1, -2)).max() > _SYMMETRY_TOL:
         raise FormError("matrix is not symmetric")
     return b
 
@@ -261,18 +262,28 @@ def fundamental_weights(b) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (weights, norms) where weights[s] solves B(alpha_s, w) = delta_st:
     the rows (equivalently columns) of the inverse matrix.  norms[s] is the
-    quadratic form value of weights[s], which equals inverse[s, s].
+    quadratic form value of weights[s], which equals inverse[s, s].  Given
+    a stack of forms (m, n, n), returns the stacks (m, n, n) and (m, n); each
+    form is checked and inverted alone, so its weights are the same bits as
+    from a call of its own, and one singular form raises.
     """
-    b = _check_gram(b)
-    n = b.shape[0]
-    sign, logdet = np.linalg.slogdet(b)
-    scale = float(np.abs(b).max()) if b.size else 1.0
-    # |det| < rtol * scale^n, compared in logs so that no power overflows
-    if sign == 0 or logdet < math.log(_SINGULAR_RTOL) + n * math.log(max(scale, 1.0)):
+    single = np.ndim(b) != 3
+    stack = _check_gram(b, stacked=not single)
+    if single:
+        stack = stack[None]
+    n = stack.shape[-1]
+    sign, logdet = np.linalg.slogdet(stack)
+    scale = np.abs(stack).max(axis=(1, 2), initial=1.0)
+    # |det| < rtol * max(max|B|, 1)^n, compared in logs so that no power overflows
+    singular = (sign == 0) | (logdet < math.log(_SINGULAR_RTOL) + n * np.log(scale))
+    if singular.any():
+        logdet = logdet[np.argmax(singular)]
         raise SingularFormError(f"form is singular (log|det| = {logdet:.3e}); weights undefined")
-    w = np.linalg.inv(b)
-    w = (w + w.T) / 2.0
+    w = np.linalg.inv(stack)
+    w = (w + w.transpose(0, 2, 1)) / 2.0
+    norms = np.diagonal(w, axis1=1, axis2=2).copy()
+    if single:
+        w, norms = w[0], norms[0]
     w.setflags(write=False)
-    norms = np.diag(w).copy()
     norms.setflags(write=False)
     return w, norms

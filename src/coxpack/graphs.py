@@ -221,7 +221,9 @@ def induced_subgraph(g: CoxeterGraph, keep) -> CoxeterGraph:
 # order of cells, so every leaf below a node puts each of the node's cells
 # in the same block of positions: sigma preserves the parent colouring and
 # maps v_1 to v_2.  It then maps the subtree of v_1 onto that of v_2 with
-# the same encodings, so pruning never changes the least leaf.
+# the same encodings, so pruning never changes the least leaf.  A node's
+# first child individualizes the lowest vertex of its target cell, which is
+# the first step of the node's own dive, so it reuses the node's dive leaf.
 # ---------------------------------------------------------------------------
 
 
@@ -243,18 +245,34 @@ def canonical_keys(graphs: Sequence[CoxeterGraph]) -> list[bytes]:
     keys = [b""] * len(graphs)
     for n in sorted({g.rank for g in graphs}):
         same = [i for i, g in enumerate(graphs) if g.rank == n]
-        for lo in range(0, len(same), _KEY_BLOCK):
-            idx = same[lo : lo + _KEY_BLOCK]
-            edges = np.fromiter(
-                (x for j, i in enumerate(idx) for u, v, lab in graphs[i].edges
-                 for x in (j, u, v, code[lab.token()])),
-                dtype=np.int64,
-            )
-            j, u, v, t = edges.reshape(-1, 4).T
-            tok = np.full((len(idx), n, n), len(tokens))
-            tok[j, u, v] = tok[j, v, u] = t
-            for i, enc in zip(idx, _KeySearch(tok, len(tokens)).least_leaves(), strict=True):
-                keys[i] = f"{n}:{'|'.join(texts[t] for t in enc.tolist())}".encode()
+        edges = np.fromiter(
+            (x for j, i in enumerate(same) for u, v, lab in graphs[i].edges
+             for x in (j, u, v, code[lab.token()])),
+            dtype=np.int64,
+        )
+        j, u, v, t = edges.reshape(-1, 4).T
+        tok = np.full((len(same), n, n), len(tokens), dtype=np.min_scalar_type(len(tokens)))
+        tok[j, u, v] = tok[j, v, u] = t
+        for i, key in zip(same, _token_keys(tok, texts), strict=True):
+            keys[i] = key
+    return keys
+
+
+def _token_keys(tok: np.ndarray, texts: Sequence[str]) -> list[bytes]:
+    """The canonical_key of each graph of a (graph, n, n) stack of token codes.
+
+    Code t < len(texts) - 1 is an edge labelled texts[t], and the last code,
+    len(texts) - 1, marks the non-edges and the diagonal.  Codes must order
+    the labels as EdgeLabel.token does; which codes they are does not
+    matter, since the search reads them only through their order.  Graphs
+    are searched _KEY_BLOCK at a time.
+    """
+    n, absent = tok.shape[-1], len(texts) - 1
+    keys = []
+    for lo in range(0, len(tok), _KEY_BLOCK):
+        block = tok[lo : lo + _KEY_BLOCK].astype(np.int64)
+        keys += (f"{n}:{'|'.join(texts[t] for t in enc.tolist())}".encode()
+                 for enc in _KeySearch(block, absent).least_leaves())
     return keys
 
 
@@ -279,18 +297,21 @@ class _KeySearch:
         owner = np.arange(len(self.tok))
         nodes = np.zeros((len(owner), self.n), dtype=np.int64)
         nodes = self.refine(nodes, np.ones_like(owner), owner)
+        dived = None  # each node's dive leaf, once it has one
         encs, owners = [], []
         while len(nodes):
             target = _targets(nodes)
             leaf = target < 0
             encs.append(self.encode(nodes[leaf], owner[leaf]))
             owners.append(owner[leaf])
-            # a leaf's target is -1, so only the other nodes have children
+            # a leaf's target is -1, so only the other nodes have children, each
+            # parent's in increasing vertex order
             parent, v = np.nonzero(nodes == target[:, None])
             owner = owner[parent]
             kids = self.refine(*_split(nodes[parent], target[parent], v), owner)
-            keep = _first_siblings(parent, self.encode(self.dive(kids, owner), owner), self.tok_bits)
-            nodes, owner = kids[keep], owner[keep]
+            leaves = self.dive_leaves(kids, owner, parent, dived)
+            keep = _first_siblings(parent, self.encode(leaves, owner), self.tok_bits)
+            nodes, owner, dived = kids[keep], owner[keep], leaves[keep]
         owner, enc = np.concatenate(owners), np.concatenate(encs)
         order, _ = _lex_order(owner, enc, self.tok_bits)
         first = np.ones(len(order), dtype=bool)
@@ -331,6 +352,23 @@ class _KeySearch:
             v = np.where(colors == target[:, None], np.arange(self.n), self.n).min(axis=1)
             colors = self.refine(*_split(colors, target, v), owner)
         return colors
+
+    def dive_leaves(self, kids, owner, parent, dived) -> np.ndarray:
+        """The first-path leaf below each child of the nodes whose leaves are dived.
+
+        A parent's first child individualizes the lowest vertex of its target
+        cell, the first step of the parent's own dive, so it ends at the
+        parent's leaf; only the other children dive.  The root's children,
+        dived None, all dive.
+        """
+        if dived is None:
+            return self.dive(kids, owner)
+        first = np.ones(len(parent), dtype=bool)
+        first[1:] = parent[1:] != parent[:-1]
+        leaves = np.empty_like(kids)
+        leaves[first] = dived[parent[first]]
+        leaves[~first] = self.dive(kids[~first], owner[~first])
+        return leaves
 
     def encode(self, leaves: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Upper triangle of each leaf's token matrix, rows and columns in colour order."""

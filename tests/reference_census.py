@@ -10,7 +10,8 @@ signed vertices by their edges: it signs each vertex by its full row of
 (token, colour) pairs.  It defines the key bytes the batched search keeps.
 
 nominate builds the candidates of the nomination batches one CoxeterGraph at
-a time, the reference for the label-code Gram stacks the census decides.
+a time (labeled builds one), the reference for the label-code stacks the
+census decides and keys.
 pivots_positive is the Cholesky screen as forms._pivots_positive ran it on
 matrix-major (m, n, n) stacks, the reference for its entry-major layout.
 """
@@ -29,6 +30,12 @@ from coxpack.graphs import CoxeterGraph, EdgeLabel
 _NO_EDGE = (2, 0.0)
 
 
+def labeled(base: CoxeterGraph, pairs, codes) -> CoxeterGraph:
+    """The batch member that gives free pair i the label ADMISSIBLE_LABELS[codes[i]]."""
+    edges = tuple((u, v, EdgeLabel(ADMISSIBLE_LABELS[c])) for (u, v), c in zip(pairs, codes))
+    return CoxeterGraph(base.rank, base.edges + edges)
+
+
 def nominate(family: Family, level1: list[CoxeterGraph], ranks=None) -> Iterator[CoxeterGraph]:
     """Candidate graphs of one family, in nomination order; no level filtering.
 
@@ -36,12 +43,10 @@ def nominate(family: Family, level1: list[CoxeterGraph], ranks=None) -> Iterator
     over ADMISSIBLE_LABELS.  With `ranks`, only the batches whose rank is in
     it are expanded.
     """
-    labels = [EdgeLabel(m) for m in ADMISSIBLE_LABELS]
     for base, pairs in _nomination_batches(family, level1):
         if ranks is None or base.rank in ranks:
-            for labeling in product(labels, repeat=len(pairs)):
-                edges = tuple((u, v, lab) for (u, v), lab in zip(pairs, labeling))
-                yield CoxeterGraph(base.rank, base.edges + edges)
+            for codes in product(range(len(ADMISSIBLE_LABELS)), repeat=len(pairs)):
+                yield labeled(base, pairs, codes)
 
 
 def minors_pass(grams: np.ndarray, k: int, tol: float, finite: bool = False) -> np.ndarray:

@@ -19,23 +19,26 @@ from coxpack.census import (
     ADMISSIBLE_LABELS,
     Family,
     _catalog_level01,
+    _code_stack,
     _gram_stack,
+    _graphs,
+    _grown,
     _is_cycle,
     _is_path,
     _is_tailed_cycle,
     _is_tree,
     _joined,
-    _labeled,
     _leaves,
     _nomination_batches,
     _rank_survivors,
     _specials,
+    _stacked,
     _survivors,
     census_report,
     enumerate_level1,
     enumerate_level2,
 )
-from reference_census import canonical_key, filter_level2, filter_level2_arrays, nominate
+from reference_census import canonical_key, filter_level2, filter_level2_arrays, labeled, nominate
 
 
 @functools.cache
@@ -118,7 +121,7 @@ def _reference_catalog(max_n, labels, zero_tol):
         for base in l0_trees[k]:
             for v in range(k):
                 for code in codes:
-                    cand = _labeled(*_joined(base, v), [code])
+                    cand = labeled(*_joined(_grown(base), v), [code])
                     key = _reference_key(cand.rank, cand.edges)
                     if key in seen:
                         continue
@@ -138,7 +141,7 @@ def _reference_catalog(max_n, labels, zero_tol):
         for base in l0_paths[k]:
             ends = _leaves(base)
             for pair_codes in product(codes, repeat=2):
-                cand = _labeled(*_joined(base, *ends), pair_codes)
+                cand = labeled(*_joined(_grown(base), *ends), pair_codes)
                 key = _reference_key(cand.rank, cand.edges)
                 if key in seen:
                     continue
@@ -150,7 +153,7 @@ def _reference_catalog(max_n, labels, zero_tol):
     for m in range(3, max_n):
         base = cp.cycle_graph([3] * m)
         for code in codes:
-            cand = _labeled(*_joined(base, 0), [code])
+            cand = labeled(*_joined(_grown(base), 0), [code])
             if cp.level(cand, zero_tol) == 1:
                 l1_tailed.append(cand)
 
@@ -167,10 +170,12 @@ def test_catalog_matches_per_candidate_reference(level1, tol):
     l0_trees, *rest = _reference_catalog(10, ADMISSIBLE_LABELS, tol)
     want = [*l0_trees.values(), *rest]
     l0_trees, l1_trees, l1_cycles, l1_tailed = _catalog_level01(10, tol)
-    # the level-1 trees and cycles come keyed by their own canonical keys
-    for keyed in (l1_trees, l1_cycles):
+    # the level-0 trees come as label codes, the level-1 graphs keyed by their own keys
+    assert all(stack.shape[1:] == (k, k) for k, stack in l0_trees.items())
+    for keyed in (l1_trees, l1_cycles, l1_tailed):
         assert list(keyed) == cp.canonical_keys(list(keyed.values()))
-    got = [*l0_trees.values(), l1_trees.values(), l1_cycles.values(), l1_tailed]
+    got = [*map(_graphs, l0_trees.values()), l1_trees.values(), l1_cycles.values(),
+           l1_tailed.values()]
     assert compact(got) == compact(want)
     got = [cp.to_compact(g) for g in enumerate_level1(10, zero_tol=tol)]
     assert got == [cp.to_compact(g) for g in level1]
@@ -213,8 +218,12 @@ def test_nominate_tree_count(level1):
 
 @pytest.fixture(scope="module")
 def survivors_6(level1_5):
-    """The tagged survivors of enumerate_level2(max_rank=6) at each tolerance."""
-    return {tol: _survivors(level1_5, 6, tol) for tol in TOLS}
+    """The survivors of enumerate_level2(max_rank=6) at each tolerance, as (family, graph) pairs."""
+    return {
+        tol: [(f, g) for families, stack in _survivors(level1_5, 6, tol)
+              for f, g in zip(families, _graphs(stack), strict=True)]
+        for tol in TOLS
+    }
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
@@ -233,10 +242,10 @@ def test_gram_stacks_match_nominate(level1_5, survivors_6, family):
         got, _ = _gram_stack([batches[i] for i in group])
         assert got.shape == (len(want), shape[0], shape[0])
         assert got.tobytes() == np.stack(want).tobytes()
-    # survivors are rebuilt as the same graphs, in the same order
+    # survivors rebuilt from their label codes are the same graphs, rank by rank in the same order
     for tol in TOLS:
         got = [g for f, g in survivors_6[tol] if f is family]
-        assert got == filter_level2(graphs, tol)
+        assert got == sorted(filter_level2(graphs, tol), key=lambda g: g.rank)
 
 
 @st.composite
@@ -314,7 +323,7 @@ def test_empty_batch_sends_no_rows_to_one_vertex_stage(monkeypatch):
     # deleting vertices 0 and 1 leaves the hyperbolic triangle 2-3-4 (bonds 4)
     four = cp.EdgeLabel(4)
     empty = (cp.CoxeterGraph(5, ((2, 3, four), (2, 4, four), (3, 4, four))), ((0, 1), (0, 2)))
-    live = _joined(_specials()[0], 0, 1)
+    live = _joined(_grown(_specials()[0]), 0, 1)
     left = int(minors_psd(_gram_stack([live])[0], 2, 1e-3).sum())
     assert left
 
@@ -465,38 +474,84 @@ def test_nomination_counts_at_rank11(level1):
 
 
 @pytest.mark.parametrize(
-    "pairs",
-    [((0, 4), (0, 4)), ((0, 1),), ((4, 4),), ((0, 5),), ((-1, 4),)],
+    "pairs, message",
+    [
+        (((0, 4), (0, 4)), r"\(0, 4\) of batch 0 is repeated"),
+        (((0, 1),), r"\(0, 1\) of batch 0 duplicates a base edge"),
+        (((4, 4),), r"\(4, 4\) of batch 0 is a self-loop"),
+        (((0, 5),), r"\(0, 5\) of batch 0 is out of range"),
+        (((-1, 4),), r"\(-1, 4\) of batch 0 is out of range"),
+    ],
     ids=["duplicate pair", "duplicate of a base edge", "self-loop", "out of range", "negative"],
 )
-def test_gram_stack_rejects_malformed_batch(pairs):
+def test_gram_stack_rejects_malformed_batch(monkeypatch, pairs, message):
+    """The free pairs are checked on their arrays, with no graph built."""
     base = cp.CoxeterGraph(5, ((0, 1, cp.EdgeLabel(3)),))
-    with pytest.raises(cp.GraphError):
+    good = (base, ((2, 3), (3, 4))[: len(pairs)])
+    monkeypatch.setattr(cp.CoxeterGraph, "__post_init__", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(cp.GraphError, match=message.replace("batch 0", "batch 1")):
+        _stacked([good, (base, pairs)])
+    with pytest.raises(cp.GraphError, match=message):
         _gram_stack([(base, pairs)])
 
 
-def test_census_builds_graphs_only_for_survivors(monkeypatch, level1_5):
-    """Rejected candidates (51,160 nominated at max_rank 6) never become graphs."""
-    n_batches = sum(1 for f in Family for _ in _nomination_batches(f, level1_5))
-    counts = {"graphs": 0, "survivors": 0}
-    init, survivors = cp.CoxeterGraph.__post_init__, census._survivors
+@pytest.mark.parametrize("ranks, widths", [((5, 6), (1, 1)), ((5, 5), (1, 2))])
+def test_stacked_rejects_mixed_shapes(ranks, widths):
+    """A batch list whose ranks or free-pair counts differ is not one shape."""
+    batches = [(cp.CoxeterGraph(n), ((0, 1), (2, 3))[:w]) for n, w in zip(ranks, widths)]
+    with pytest.raises(cp.GraphError, match="one \\(rank, free pairs\\) shape"):
+        _stacked(batches)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_keys_from_code_stacks_match_graph_keys(data):
+    """Keys searched on a stack of label codes, in blocks of any size, equal
+    canonical_keys of the graphs built from it, and a relabeled stack keys alike."""
+    n = data.draw(st.integers(3, 11), label="rank")
+    count = data.draw(st.integers(1, 6), label="graphs")
+    labels = data.draw(st.lists(st.sampled_from(range(len(ADMISSIBLE_LABELS))), min_size=1,
+                                max_size=4, unique=True), label="label codes")
+    density = data.draw(st.sampled_from((0.2, 0.5, 0.9)), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (count, n, n)
+    codes = np.where(rng.random(shape) < density, rng.choice(labels, shape), census._ABSENT)
+    # symmetric, from the upper triangle, with no edge on the diagonal
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    stack = np.where(upper, codes, codes.transpose(0, 2, 1)).astype(np.int8)
+    stack[:, np.arange(n), np.arange(n)] = census._ABSENT
+    graphs = _graphs(stack)
+    assert _code_stack(graphs, n).tobytes() == stack.tobytes()
+    want = cp.canonical_keys(graphs)
+    perm = rng.permutation(n)
+    block = data.draw(st.integers(1, count), label="key block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp.graphs, "_KEY_BLOCK", block)
+        assert cp.graphs._token_keys(stack, census._TEXTS) == want
+        assert cp.graphs._token_keys(stack[:, perm][:, :, perm], census._TEXTS) == want
+
+
+def test_census_builds_graphs_only_for_survivors(monkeypatch):
+    """Candidates stay label codes until the output (51,160 nominated at
+    max_rank 6): enumerate_level2 builds a graph for each base, each entry,
+    each level-1 class of the catalog and each special graph, and for
+    nothing else."""
+    level1 = enumerate_level1(5)
+    _, *classes = _catalog_level01(5, 1e-3)
+    bases = {id(base): base for f in Family for base, _ in _nomination_batches(f, level1)}
+    # enumerate_level1 and each special-graph family build the three special graphs
+    specials = 4 * len(_specials())
+    builds = []
+    init = cp.CoxeterGraph.__post_init__
 
     def counting_init(self):
-        counts["graphs"] += 1
+        builds.append(self)
         init(self)
 
-    def counting_survivors(*args):
-        out = survivors(*args)
-        counts["survivors"] += len(out)
-        return out
-
-    monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
-    monkeypatch.setattr(census, "_survivors", counting_survivors)
     monkeypatch.setattr(cp.CoxeterGraph, "__post_init__", counting_init)
-    assert len(enumerate_level2(max_rank=6)) == 255
-    # each batch builds its base and its validated first member, and each
-    # special-graph family builds the three special graphs once
-    assert counts["graphs"] <= 2 * n_batches + 3 * 3 + counts["survivors"]
+    entries = enumerate_level2(max_rank=6)
+    assert len(entries) == 255
+    assert len(builds) == len(bases) + len(entries) + sum(map(len, classes)) + specials == 464
 
 
 def test_census_rejects_a_survivor_of_level_1(monkeypatch, level1_5, tmp_path, capsys):
@@ -505,8 +560,12 @@ def test_census_rejects_a_survivor_of_level_1(monkeypatch, level1_5, tmp_path, c
     survivors = census._survivors
 
     def injected(*args):
-        out = survivors(*args)
-        return out[:3] + [(Family.TREE, bad)] + out[3:]
+        ranks = survivors(*args)
+        families, stack = ranks[0]
+        assert stack.shape[1:] == (5, 5)
+        stack = np.insert(stack, 3, _code_stack([bad], 5), axis=0)
+        ranks[0] = families[:3] + [Family.TREE] + families[3:], stack
+        return ranks
 
     monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
     monkeypatch.setattr(census, "_survivors", injected)

@@ -433,14 +433,12 @@ BAD_TOLS = ["0", "-1", "nan", "inf"]
         ["weights", "--length", "1"],
         ["pack", "--length", "1"],
         ["tangency", "--length", "1"],
-        ["enum", "--max-rank", "5"],
     ],
 )
 def test_bad_tol_is_usage_error(graph_file, capsys, tmp_path, fig1a, cmd, tol):
     """A bad --tol exits 2 and writes nothing; roots and weights reject the flag itself."""
-    args = [cmd[0]] if cmd[0] == "enum" else [cmd[0], graph_file(fig1a)]
     out = tmp_path / "out.txt"
-    argv = [*args, *cmd[1:], "--tol", tol, "--out", str(out)]
+    argv = [cmd[0], graph_file(fig1a), *cmd[1:], "--tol", tol, "--out", str(out)]
     if cmd[0] in ("roots", "weights"):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -125,6 +125,36 @@ def test_fundamental_weights_singular():
         cp.fundamental_weights(cp.cycle_graph([3, 3, 3]).gram)
 
 
+def test_fundamental_weights_of_a_stack_match_single_calls(census_entries):
+    """Each form of a stacked call gets the bits of a call of its own, at every
+    rank of the census, and the arrays returned are read-only."""
+    for n in sorted({e.rank for e in census_entries}):
+        grams = np.stack([e.graph.gram for e in census_entries if e.rank == n])
+        w, norms = cp.fundamental_weights(grams)
+        assert w.shape == grams.shape and norms.shape == grams.shape[:2]
+        assert not w.flags.writeable and not norms.flags.writeable
+        for gram, wi, ni in zip(grams, w, norms, strict=True):
+            w1, n1 = cp.fundamental_weights(gram)
+            assert w1.tobytes() == wi.tobytes() and n1.tobytes() == ni.tobytes()
+    w, norms = cp.fundamental_weights(np.zeros((0, 4, 4)))
+    assert w.shape == (0, 4, 4) and norms.shape == (0, 4)
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_fundamental_weights_of_a_stack_with_a_singular_form(at):
+    """One singular form in a stack raises, wherever it stands."""
+    forms_ = [cp.path_graph(labels).gram for labels in ([3, 3], [4, 3], [5, 3], [5, 5])]
+    forms_.insert(at, cp.cycle_graph([3, 3, 3]).gram)
+    with pytest.raises(SingularFormError):
+        cp.fundamental_weights(np.stack(forms_))
+    del forms_[at]
+    assert cp.fundamental_weights(np.stack(forms_))[0].shape == (4, 3, 3)
+    with pytest.raises(FormError, match="not symmetric"):
+        cp.fundamental_weights(np.stack(forms_) + np.triu(np.ones((3, 3)), 1))
+    with pytest.raises(FormError, match="square"):
+        cp.fundamental_weights(np.zeros((2, 3, 4)))
+
+
 def test_type_stable_under_tolerance(fig1a, fig1b, five_cycle, universal4):
     for g in (fig1a, fig1b, five_cycle, universal4, cp.path_graph([4, 3, 4])):
         kinds = {cp.classify_type(g, tol) for tol in (5e-4, 1e-3, 2e-3)}

@@ -301,6 +301,23 @@ def test_sibling_pruning_keeps_the_key(g):
         assert cp.canonical_key(g) == key
 
 
+def test_first_child_takes_its_parents_dive_leaf():
+    """Each leaf a first child takes from its parent is the leaf its own dive reaches."""
+    take, taken = graphs._KeySearch.dive_leaves, []
+
+    def checking(self, kids, owner, parent, dived):
+        leaves = take(self, kids, owner, parent, dived)
+        assert leaves.tobytes() == self.dive(kids, owner).tobytes()
+        taken.append(dived is not None)
+        return leaves
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs._KeySearch, "dive_leaves", checking)
+        cp.canonical_keys(list(_symmetric_families()))
+        cp.canonical_key(SYMMETRIC_KEYS["8 disjoint triangles"][0])
+    assert any(taken)
+
+
 @pytest.mark.parametrize("first, second", [(3, 19), (5, 37), (0, 32)])
 def test_canonical_keys_with_few_children_of_far_apart_graphs(first, second):
     """Two symmetric graphs among many discrete at the root, keyed in one call.
