@@ -11,7 +11,8 @@ CoxeterGraph is built only for a base, a level-1 class of the catalog and a
 census entry (607 graphs at rank 11, for 379,908 candidates).  The members
 of the batches of one shape (rank and free-pair count), whatever their
 families, are one boolean mask over the free pairs' codes (_members), and
-the free pairs are checked on their arrays (_stacked).
+the free pairs are checked on their arrays (_stacked), once per shape:
+recognition and the survivors' codes share those arrays.
 
 Recognition decides each minor at most once, and only when a live
 candidate reads it.  A graph has level 2 when every two-vertex deletion is
@@ -35,12 +36,14 @@ deletions are then decided in one stack for the candidates left.
 The level-1 catalog grows one rank per step: the step's candidates decide
 levels 0 and 1 on one Gram stack, and only those of level <= 1 are keyed,
 in one key search; level is invariant under isomorphism, so the first
-representative of each kept class is unchanged.  Every survivor (890 at
-rank 11) is verified to have level 2 from its own Gram matrix, one stack
-per rank apart from recognition's tables, before survivors are
-deduplicated by canonical key, one key search per rank; the first survivor
-of each key becomes an entry, its strictness and fundamental weights taken
-on one stack per rank.  The census runs in one process.
+representative of each kept class is unchanged.  The three special
+graphs are keyed from their codes too, one key search per rank.  Every
+survivor (890 at rank 11) is verified to have level 2 from its own Gram
+matrix, one stack per rank apart from recognition's tables, before
+survivors are deduplicated by canonical key, one key search per rank; the
+first survivor of each key becomes an entry, its strictness, fundamental
+weights and weight roles taken on one stack per rank.  The census runs in
+one process.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .graphs import (
     EdgeLabel,
     GraphError,
     _token_keys,
-    canonical_keys,
     complete_graph,
     to_compact,
 )
@@ -339,7 +341,9 @@ def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> lis
     _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, zero_tol)
     specials = [g for g in _specials() if g.rank <= max_n]
     keyed = [*l1_trees.items(), *l1_cycles.items(), *l1_tailed.items()]
-    keyed += zip(canonical_keys(specials), specials)
+    for n in sorted({g.rank for g in specials}):
+        same = [g for g in specials if g.rank == n]
+        keyed += zip(_token_keys(_code_stack(same, n), _TEXTS), same)
     for n in sorted({g.rank for _, g in keyed}):
         stack = _code_stack([g for _, g in keyed if g.rank == n], n)
         _check_level(stack, 1, zero_tol, "catalog graph {} is not level 1")
@@ -468,9 +472,12 @@ def _gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
-    """Label codes of the level-2 members of batches of one shape (rank and
-    free-pair count), one array per batch.
+def _rank_survivors(
+    stack: np.ndarray, uv: np.ndarray, zero_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The level-2 members of the batches of one shape (rank and free-pair
+    count) with base codes stack and free pairs uv, as _stacked gives them:
+    each member's batch and its free pairs' label codes, in _members order.
 
     Every two-vertex deletion must be positive semidefinite, and its minor
     depends only on the labels of the free pairs inside it, so each
@@ -489,11 +496,11 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
     minor, so a row that only dead members read can change no survivor.
     Until the first kill every row is read; once the live members' codes
     take no more room than ok, reads and kills go through those codes, not
-    the whole mask.  Some one-vertex deletion must then fail, decided in one
-    call on the Gram matrices of the members left; by interlacing, the full
-    matrix then fails too and needs no test of its own.
+    the whole mask, and the members left are taken from them.  Some
+    one-vertex deletion must then fail, decided in one call on the Gram
+    matrices of the members left; by interlacing, the full matrix then fails
+    too and needs no test of its own.
     """
-    stack, uv = _stacked(batches)
     grams = _grams(stack)
     n, width = grams.shape[-1], uv.shape[1]
     keeps = np.array(list(combinations(range(n), n - 2)))
@@ -585,10 +592,10 @@ def _rank_survivors(batches: list[Batch], zero_tol: float) -> list[np.ndarray]:
             size = per_call
 
     # the members left, in batch order, to the one-vertex stage
-    alive = np.argwhere(ok)
-    b, codes = alive[:, 0], alive[:, 1:].astype(np.int8)
+    b, *digits = np.nonzero(ok) if live is None else live
+    codes = np.stack(digits, axis=-1).astype(np.int8)
     fails = ~minors_psd(_set_labels(grams[b], uv[b], _ENTRIES[codes]), 1, zero_tol)
-    return [codes[fails & (b == i)] for i in range(len(batches))]
+    return b[fails], codes[fails]
 
 
 def _check_level(stack: np.ndarray, r: int, zero_tol: float, message: str) -> None:
@@ -604,19 +611,6 @@ def _check_level(stack: np.ndarray, r: int, zero_tol: float, message: str) -> No
 # ---------------------------------------------------------------------------
 # The census.
 # ---------------------------------------------------------------------------
-
-
-def _make_entry(g: CoxeterGraph, key: bytes, family: Family, strict: bool, norms) -> CensusEntry:
-    roles = [classify_weight_norm(norm, level2=True) for norm in norms]
-    return CensusEntry(
-        g,
-        key,
-        family,
-        strict,
-        roles.count(VertexClass.IMAGINARY),
-        roles.count(VertexClass.REAL),
-        roles.count(VertexClass.SURREAL),
-    )
 
 
 def _survivors(
@@ -637,12 +631,9 @@ def _survivors(
     found: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for shape in sorted(set(shapes)):
         idx = np.array([i for i, s in enumerate(shapes) if s == shape])
-        batches = [tagged[i][1] for i in idx]
-        codes = _rank_survivors(batches, zero_tol)
-        stack, uv = _stacked(batches)
-        b = np.repeat(np.arange(len(idx)), [len(c) for c in codes])
-        members = _set_labels(stack[b], uv[b], np.concatenate(codes))
-        found.setdefault(shape[0], []).append((idx[b], members))
+        stack, uv = _stacked([tagged[i][1] for i in idx])
+        b, codes = _rank_survivors(stack, uv, zero_tol)
+        found.setdefault(shape[0], []).append((idx[b], _set_labels(stack[b], uv[b], codes)))
     ranks = []
     for n in sorted(found):
         at, stack = (np.concatenate(col) for col in zip(*found[n]))
@@ -672,10 +663,12 @@ def enumerate_level2(max_rank: int = 11, zero_tol: float = DEFAULT_ZERO_TOL) -> 
         stack = stack[list(firsts.values())]
         grams = _grams(stack)
         strict = minors_psd(grams, 2, zero_tol, finite=True)
-        _, norms = fundamental_weights(grams)
+        roles = classify_weight_norm(fundamental_weights(grams)[1], level2=True)
+        # VertexClass lists the roles in the order of CensusEntry's counts
+        counts = [(roles == role).sum(axis=1).tolist() for role in VertexClass]
         entries += (
-            _make_entry(g, key, families[i], s, ns)
-            for (key, i), g, s, ns in zip(firsts.items(), _graphs(stack), strict.tolist(), norms)
+            CensusEntry(g, key, families[i], s, *c)
+            for (key, i), g, s, *c in zip(firsts.items(), _graphs(stack), strict.tolist(), *counts)
         )
     entries.sort(key=lambda e: e.key)
     return entries

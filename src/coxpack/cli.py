@@ -133,11 +133,11 @@ def cmd_classify(args) -> int:
         info["weights"] = [
             {
                 "color": s,
-                "norm": float(norm),
+                "norm": norm,
                 "class": classify_norm(norm, norm).value,
                 "role": classify_weight_norm(norm, level2=lv == 2).value,
             }
-            for s, norm in enumerate(norms)
+            for s, norm in enumerate(norms.tolist())
         ]
 
     if args.format == "json":

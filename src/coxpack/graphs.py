@@ -228,8 +228,9 @@ def induced_subgraph(g: CoxeterGraph, keep) -> CoxeterGraph:
 
 
 # graphs searched together: bounds the working set, which grows with the
-# nodes of a level (about 0.3 MB for 128 census survivors of rank 5)
-_KEY_BLOCK = 128
+# nodes of a level (0.9 MiB for the census's largest call, its 620
+# survivors of rank 5, which is one block)
+_KEY_BLOCK = 1024
 
 
 def canonical_key(g: CoxeterGraph) -> bytes:
@@ -265,15 +266,20 @@ def _token_keys(tok: np.ndarray, texts: Sequence[str]) -> list[bytes]:
     len(texts) - 1, marks the non-edges and the diagonal.  Codes must order
     the labels as EdgeLabel.token does; which codes they are does not
     matter, since the search reads them only through their order.  Graphs
-    are searched _KEY_BLOCK at a time.
+    are searched _KEY_BLOCK at a time.  A key is f"{n}:" and its encoding's
+    texts joined by "|"; every key of the call is cut from one join of the
+    encodings, each text led by its "|", at the byte sizes of its texts.
     """
     n, absent = tok.shape[-1], len(texts) - 1
-    keys = []
-    for lo in range(0, len(tok), _KEY_BLOCK):
-        block = tok[lo : lo + _KEY_BLOCK].astype(np.int64)
-        keys += (f"{n}:{'|'.join(texts[t] for t in enc.tolist())}".encode()
-                 for enc in _KeySearch(block, absent).least_leaves())
-    return keys
+    words = np.array(["|" + text for text in texts], dtype=object)
+    encs = [_KeySearch(tok[lo : lo + _KEY_BLOCK].astype(np.int64), absent).least_leaves()
+            for lo in range(0, len(tok), _KEY_BLOCK)]
+    enc = np.concatenate([np.zeros((0, n * (n - 1) // 2), dtype=np.intp), *encs])
+    blob = "".join(words[enc].ravel().tolist()).encode()
+    sizes = np.array([len(word.encode()) for word in words])[enc].sum(axis=1)
+    ends = np.cumsum(sizes)
+    head = f"{n}:".encode()
+    return [head + blob[lo + 1 : hi] for lo, hi in zip((ends - sizes).tolist(), ends.tolist())]
 
 
 class _KeySearch:

@@ -44,6 +44,10 @@ class VertexClass(Enum):
     SURREAL = "surreal"
 
 
+# role index (norm <= 0) + 2 * (norm == 1), each up to _TANGENCY_TOL -> role
+_ROLES = np.array([VertexClass.REAL, VertexClass.IMAGINARY, VertexClass.SURREAL], dtype=object)
+
+
 @dataclass(frozen=True)
 class ComplexVertex:
     id: int
@@ -92,25 +96,21 @@ class TangencyGraph:
         return {(e.u, e.v) for e in self.edges}
 
 
-def classify_weight_norm(norm: float, level2: bool = False) -> VertexClass:
-    """Role of a fundamental weight of norm B(omega, omega).
+def classify_weight_norm(
+    norm: float | np.ndarray, level2: bool = False
+) -> VertexClass | np.ndarray:
+    """Role of a fundamental weight of norm B(omega, omega); of an array of
+    norms, their roles as an object array of the same shape.
 
     Imaginary at norm <= 0, surreal at norm 1 and real otherwise, each
     decided up to 1e-9; every weight role in the library comes from here.
     A norm above 1 is real, except on a level-2 system (level2=True), where
     it is impossible and raises InconsistencyError.
     """
-    if norm > 1.0 + _TANGENCY_TOL:
-        if level2:
-            raise InconsistencyError(
-                f"weight norm {norm} exceeds 1 on a level-2 system"
-            )
-        return VertexClass.REAL
-    if abs(norm - 1.0) <= _TANGENCY_TOL:
-        return VertexClass.SURREAL
-    if norm <= _TANGENCY_TOL:
-        return VertexClass.IMAGINARY
-    return VertexClass.REAL
+    high = norm > 1.0 + _TANGENCY_TOL
+    if level2 and (high if type(high) is bool else high.any()):  # a float's test is a bool
+        raise InconsistencyError(f"weight norm {np.max(norm)} exceeds 1 on a level-2 system")
+    return _ROLES[(norm <= _TANGENCY_TOL) + 2 * (abs(norm - 1.0) <= _TANGENCY_TOL)]
 
 
 def _vertex_keys(b: np.ndarray, colors: np.ndarray, vectors: np.ndarray, steps: int) -> list:
@@ -155,9 +155,10 @@ def chambers_up_to_length(
     ids = np.array([index.setdefault(key, len(index)) for key in keys]).reshape(-1, n)
     first = np.unique(ids, return_index=True)[1]
     rows = zip((first % n).tolist(), _frozen(ends[first]), lengths[first].tolist())
+    norms = fund_norms.tolist()
+    roles = classify_weight_norm(fund_norms)
     vertices = tuple(
-        ComplexVertex(i, c, vec, ell, float(fund_norms[c]), classify_weight_norm(fund_norms[c]))
-        for i, (c, vec, ell) in enumerate(rows)
+        ComplexVertex(i, c, vec, ell, norms[c], roles[c]) for i, (c, vec, ell) in enumerate(rows)
     )
 
     # the walk points are one weight orbit, of color 0, keyed like vertices
@@ -214,7 +215,7 @@ def tangency_graph(
     b = g.gram
     n = g.rank
     fund, norms = fundamental_weights(b)
-    roles = [classify_weight_norm(float(x), level2=True) for x in norms]
+    roles = [classify_weight_norm(x, level2=True) for x in norms.tolist()]
     colors = np.array([s for s in range(n) if roles[s] is not VertexClass.IMAGINARY], dtype=int)
 
     vectors, c, _, _, vlengths = _walk(

@@ -271,6 +271,13 @@ def table_rows(batches) -> int:
     )
 
 
+def rank_survivors(batches, zero_tol):
+    """_rank_survivors on the batches' arrays, its members split into one code array per batch."""
+    b, codes = _rank_survivors(*_stacked(batches), zero_tol)
+    assert (np.diff(b) >= 0).all()
+    return np.split(codes, np.searchsorted(b, np.arange(1, len(batches))))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batch_survivors_match_reference_filter(data):
@@ -299,7 +306,7 @@ def test_batch_survivors_match_reference_filter(data):
         # a budget of chunk minors of the two-vertex deletions, (n - 2) x (n - 2)
         with mock.patch.object(forms, "_KERNEL_ENTRIES", chunk * (n - 2) ** 2), \
                 mock.patch.object(census, "minors_psd", counting):
-            got = _rank_survivors(batches, tol)
+            got = rank_survivors(batches, tol)
         assert all(codes.dtype == np.int8 for codes in got)
         assert max(decided, default=0) <= chunk and sum(decided) <= rows
         members = [
@@ -330,7 +337,7 @@ def test_empty_batch_sends_no_rows_to_one_vertex_stage(monkeypatch):
     monkeypatch.setattr(census, "minors_psd", counting)
     for batches in ([empty], [empty, live], [live, empty]):
         sent.clear()
-        got = _rank_survivors(batches, 1e-3)
+        got = rank_survivors(batches, 1e-3)
         assert [codes.shape for codes, b in zip(got, batches) if b is empty] == [(0, 2)]
         ones = [size for k, size in sent if k == 1]
         assert ones == [0 if batches == [empty] else left]
@@ -361,7 +368,7 @@ def test_later_blocks_hold_only_rows_a_live_member_reads(monkeypatch):
     ]
     monkeypatch.setattr(census, "minors_psd", recording)
     monkeypatch.setattr(forms, "_KERNEL_ENTRIES", 64 * 3 * 3)  # 64 minors of 3x3 a block
-    _rank_survivors(batches, 1e-3)
+    _rank_survivors(*_stacked(batches), 1e-3)
     assert [len(block) for block in blocks] == [16, 12, 16, 8]
     # the last block's rows are those of the members labeled 3
     assert (blocks[-1][:, 0, 1] == three.gram_entry()).all()
@@ -444,15 +451,44 @@ def test_census_decides_each_shape_once(monkeypatch, level1):
     shapes = []
     decide = census._rank_survivors
 
-    def recording(batches, zero_tol):
-        shapes.append({(base.rank, len(pairs)) for base, pairs in batches})
-        return decide(batches, zero_tol)
+    def recording(stack, uv, zero_tol):
+        shapes.append((stack.shape[-1], uv.shape[1]))
+        return decide(stack, uv, zero_tol)
 
     monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1)
     monkeypatch.setattr(census, "_rank_survivors", recording)
     assert len(enumerate_level2(max_rank=11)) == 326
-    assert all(len(group) == 1 for group in shapes)
-    assert len(shapes) == len(set().union(*shapes)) == 23
+    assert len(shapes) == len(set(shapes)) == 23
+
+
+def test_census_key_and_stack_work(monkeypatch):
+    """enumerate_level2(max_rank=11) keys in 18 _token_keys calls (9 catalog
+    steps, the special graphs of ranks 4 and 5, and 7 ranks of survivors),
+    each one _KeySearch, and never calls canonical_keys; each shape's batches
+    become arrays once, 23 _stacked calls."""
+    counts = {"_token_keys": 0, "_KeySearch": 0, "_stacked": 0}
+    token_keys, stacked = census._token_keys, census._stacked
+
+    class CountedSearch(cp.graphs._KeySearch):
+        def __init__(self, *args):
+            counts["_KeySearch"] += 1
+            super().__init__(*args)
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(cp.graphs, "_KeySearch", CountedSearch)
+    monkeypatch.setattr(census, "_token_keys", counted("_token_keys", token_keys))
+    monkeypatch.setattr(census, "_stacked", counted("_stacked", stacked))
+    for module in (cp.graphs, census):
+        monkeypatch.setattr(module, "canonical_keys", mock.Mock(side_effect=AssertionError),
+                            raising=False)
+    assert len(enumerate_level2(max_rank=11)) == 326
+    assert counts == {"_token_keys": 18, "_KeySearch": 18, "_stacked": 23}
 
 
 def test_nomination_counts_at_rank11(level1):

@@ -428,11 +428,11 @@ BAD_TOLS = ["0", "-1", "nan", "inf"]
 @pytest.mark.parametrize(
     "cmd",
     [
-        ["classify"],
-        ["roots", "--depth", "2"],
-        ["weights", "--length", "1"],
-        ["pack", "--length", "1"],
-        ["tangency", "--length", "1"],
+        # the ids keep their numbers from when classify, a BOUNDS case now, was cmd0
+        pytest.param(["roots", "--depth", "2"], id="cmd1"),
+        pytest.param(["weights", "--length", "1"], id="cmd2"),
+        pytest.param(["pack", "--length", "1"], id="cmd3"),
+        pytest.param(["tangency", "--length", "1"], id="cmd4"),
     ],
 )
 def test_bad_tol_is_usage_error(graph_file, capsys, tmp_path, fig1a, cmd, tol):

@@ -281,6 +281,36 @@ def test_canonical_key_matches_reference(g, rng):
     assert cp.canonical_keys(pair) == [reference_census.canonical_key(h) for h in pair]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_token_keys_cut_from_one_join(data):
+    """Keys cut from one join of a call's encodings equal each least leaf's
+    own "|".join, for multi-character texts (some of several bytes) and up to
+    300 distinct tokens, at _KEY_BLOCK 1, at a drawn block size and at the
+    default."""
+    n = data.draw(st.integers(1, 8), label="rank")
+    count = data.draw(st.integers(1, 12), label="graphs")
+    tokens = data.draw(st.integers(1, 300), label="tokens")
+    texts = data.draw(
+        st.lists(st.text("mi.0123456789é", min_size=1, max_size=6), min_size=tokens,
+                 max_size=tokens, unique=True),
+        label="texts",
+    ) + ["-"]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    codes = np.where(rng.random((count, n, n)) < 0.6, rng.integers(0, tokens, (count, n, n)), tokens)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    tok = np.where(upper, codes, codes.transpose(0, 2, 1)).astype(np.int16)
+    tok[:, np.arange(n), np.arange(n)] = tokens
+    want = [
+        f"{n}:{'|'.join(texts[t] for t in enc.tolist())}".encode()
+        for enc in graphs._KeySearch(tok.astype(np.int64), tokens).least_leaves()
+    ]
+    for block in (1, data.draw(st.integers(1, count), label="key block"), graphs._KEY_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_KEY_BLOCK", block)
+            assert graphs._token_keys(tok, texts) == want
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(oracle_graphs(), max_size=8), st.randoms(use_true_random=False))
 def test_canonical_keys_in_input_order(gs, rng):

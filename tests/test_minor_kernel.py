@@ -259,12 +259,12 @@ def test_census_kernel_calls_stay_inside_the_budget(monkeypatch, budget):
 
     monkeypatch.setattr(census, "minors_psd", recording)
     monkeypatch.setattr(forms, "_KERNEL_ENTRIES", UNBOUNDED)
-    want = census._rank_survivors(batches, 1e-3)
+    want = census._rank_survivors(*census._stacked(batches), 1e-3)
     assert max(sizes) == max(blocks) == 55_296
     sizes.clear()
     blocks.clear()
     monkeypatch.setattr(forms, "_KERNEL_ENTRIES", budget)
-    got = census._rank_survivors(batches, 1e-3)
+    got = census._rank_survivors(*census._stacked(batches), 1e-3)
     assert max(sizes) <= budget and max(blocks) <= budget
-    assert [codes.tolist() for codes in got] == [codes.tolist() for codes in want]
-    assert len(want[0])
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    assert len(want[1])

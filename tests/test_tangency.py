@@ -90,6 +90,26 @@ def test_classify_vertex(universal4):
             assert vc is VertexClass.IMAGINARY
 
 
+def test_classify_weight_norm_of_arrays():
+    """An array of norms is classified elementwise, as each norm alone, into
+    an object array of its shape; a norm above 1 raises on a level-2 system,
+    alone or in an array."""
+    tol = 1e-9
+    norms = np.array(
+        [-2.0, 0.0, tol / 2, 2 * tol, 0.5, 1 - tol / 2, 1.0, 1 + tol / 2, 1 + 2 * tol, 4.0]
+    )
+    im, re, su = VertexClass.IMAGINARY, VertexClass.REAL, VertexClass.SURREAL
+    want = [im, im, im, re, re, su, su, su, re, re]
+    assert [classify_weight_norm(x) for x in norms.tolist()] == want
+    assert [classify_weight_norm(x) for x in norms] == want
+    got = classify_weight_norm(norms.reshape(2, 5))
+    assert got.shape == (2, 5) and got.ravel().tolist() == want
+    assert classify_weight_norm(norms[:8], level2=True).tolist() == want[:8]
+    for high in (norms, norms[8:9], 1 + 2 * tol, norms[8]):
+        with pytest.raises(cp.InconsistencyError, match="exceeds 1 on a level-2 system"):
+            classify_weight_norm(high, level2=True)
+
+
 def test_tangency_universal_fundamental_complete(universal4):
     tg = tangency_graph(universal4, 2)
     fund = [v.id for v in tg.vertices if v.word_length == 0]
