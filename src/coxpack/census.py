@@ -14,30 +14,33 @@ families, are one boolean mask over the free pairs' codes (_members), and
 the free pairs are checked on their arrays (_stacked), once per shape:
 recognition and the survivors' codes share those arrays.
 
-Recognition decides each minor at most once, and only when a live
-candidate reads it.  A graph has level 2 when every two-vertex deletion is
-finite or affine (its Gram minor is positive semidefinite) and some
-one-vertex deletion is not; a principal submatrix of a positive
-semidefinite matrix is positive semidefinite (Cauchy interlacing), so the
-full matrix then fails too and needs no test of its own.  The minor a
-two-vertex deletion keeps depends only on the labels of the free pairs
-inside it, so each deletion of each batch has a table of those
-sub-labelings, and every candidate reads its verdict by mixed-radix code; a
-table row is bitwise the candidate's own minor, so the verdicts are exactly
-those of a per-candidate filter.  The tables of all batches of one shape
-are decided in waves of increasing inside-pair count.  A wave lists its rows
-deletion by deletion across the batches and decides them in blocks; after
-each block the candidates reading a failing row die, and the rows that no
-candidate still alive reads are dropped.  A candidate survives exactly when
-every row it reads passes, so skipping those rows changes no survivor, and
-a candidate that fails one row costs no later row.  The one-vertex
-deletions are then decided in one stack for the candidates left.
+Recognition decides each minor at most once, and only when a live candidate
+reads it.  A graph has level 2 when every two-vertex deletion is finite or
+affine (its Gram minor is positive semidefinite) and some one-vertex
+deletion is not; a principal submatrix of a positive semidefinite matrix is
+positive semidefinite (Cauchy interlacing), so the full matrix then fails
+too and needs no test of its own.  The minor a two-vertex deletion keeps
+depends only on the labels of the free pairs inside it, so each deletion of
+each batch has a table of those sub-labelings, and every candidate reads
+its verdict by mixed-radix code; a table row is bitwise the candidate's own
+minor.  Verdicts nomination proves are skipped: each base less its last
+vertex has level <= 1, so a deletion keeping no free pair passes (wave 0),
+and at level 1 deleting that vertex leaves a graph that is not positive
+semidefinite.  The tables of all batches of one shape are decided in waves
+of increasing inside-pair count.  A wave lists its rows deletion by
+deletion across the batches and decides them in blocks; after each block
+the candidates reading a failing row die, and the rows that no candidate
+still alive reads are dropped.  A candidate survives exactly when every row
+it reads passes, so skipping those rows changes no survivor, and a
+candidate that fails one row costs no later row.  The one-vertex deletions
+of the candidates of edgeless bases left are then decided in one stack.  A
+false proof could only add survivors, which their level check refuses.
 
 The level-1 catalog grows one rank per step: the step's candidates decide
 levels 0 and 1 on one Gram stack, and only those of level <= 1 are keyed,
 in one key search; level is invariant under isomorphism, so the first
-representative of each kept class is unchanged.  The three special
-graphs are keyed from their codes too, one key search per rank.  Every
+representative of each kept class is unchanged.  The three special graphs
+are keyed from their codes in the key search of their rank's step.  Every
 survivor (890 at rank 11) is verified to have level 2 from its own Gram
 matrix, one stack per rank apart from recognition's tables, before
 survivors are deduplicated by canonical key, one key search per rank; the
@@ -53,7 +56,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -273,18 +276,20 @@ def _path_order(g: CoxeterGraph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _catalog_level01(max_n: int, zero_tol: float):
-    """Level-0 trees by rank, and the level-1 trees, cycles and tailed cycles.
+def _catalog_level01(max_n: int, zero_tol: float, specials: Sequence[CoxeterGraph] = ()):
+    """Level-0 trees by rank, the level-1 trees, cycles and tailed cycles, and specials keyed.
 
     The level-0 trees are label-code stacks, one (tree, k, k) stack for each
     rank k, one tree per class.  The level-1 trees, cycles and tailed cycles
     come keyed, as dicts from canonical key to graph, each holding the first
-    member of its class in candidate order (base, vertex, labeling).
+    member of its class in candidate order (base, vertex, labeling), and so
+    do the specials, keyed in the search of their rank's step (not leveled).
     """
     l0_trees = {1: np.full((1, 1, 1), _ABSENT, dtype=np.int8)}
     l1_trees: dict[bytes, CoxeterGraph] = {}
     l1_cycles: dict[bytes, CoxeterGraph] = {}
     l1_tailed: dict[bytes, CoxeterGraph] = {}
+    keyed_specials: dict[bytes, CoxeterGraph] = {}
     for k in range(1, max_n):
         trees = l0_trees[k]
         grown = np.full((len(trees), k + 1, k + 1), _ABSENT, dtype=np.int8)
@@ -310,14 +315,17 @@ def _catalog_level01(max_n: int, zero_tol: float):
         levels = _levels(_grams(stack), zero_tol, below=2)
         kind = np.repeat(np.arange(len(stacks)), [len(x) for x in stacks])
         kept = np.flatnonzero((levels == 1) | (kind == 0) & (levels == 0))
+        same = [g for g in specials if g.rank == k + 1]
+        keys = _token_keys(np.concatenate([stack[kept], _code_stack(same, k + 1)]), _TEXTS)
+        keyed_specials.update(zip(keys[len(kept):], same))
         firsts: dict[bytes, int] = {}
-        for key, i in zip(_token_keys(stack[kept], _TEXTS), kept.tolist()):
+        for key, i in zip(keys, kept.tolist()):
             firsts.setdefault(key, i)
         l0_trees[k + 1] = stack[[i for i in firsts.values() if levels[i] == 0]]
         classes = [(key, i) for key, i in firsts.items() if levels[i] == 1]
         for (key, i), g in zip(classes, _graphs(stack[[i for _, i in classes]])):
             (l1_trees, l1_cycles, l1_tailed)[kind[i]][key] = g
-    return l0_trees, l1_trees, l1_cycles, l1_tailed
+    return l0_trees, l1_trees, l1_cycles, l1_tailed, keyed_specials
 
 
 def _specials() -> list[CoxeterGraph]:
@@ -338,12 +346,8 @@ def enumerate_level1(max_n: int = 10, zero_tol: float = DEFAULT_ZERO_TOL) -> lis
     """
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
-    _, l1_trees, l1_cycles, l1_tailed = _catalog_level01(max_n, zero_tol)
-    specials = [g for g in _specials() if g.rank <= max_n]
-    keyed = [*l1_trees.items(), *l1_cycles.items(), *l1_tailed.items()]
-    for n in sorted({g.rank for g in specials}):
-        same = [g for g in specials if g.rank == n]
-        keyed += zip(_token_keys(_code_stack(same, n), _TEXTS), same)
+    _, *kinds = _catalog_level01(max_n, zero_tol, _specials())
+    keyed = [item for kind in kinds for item in kind.items()]
     for n in sorted({g.rank for _, g in keyed}):
         stack = _code_stack([g for _, g in keyed if g.rank == n], n)
         _check_level(stack, 1, zero_tol, "catalog graph {} is not level 1")
@@ -375,11 +379,17 @@ def _theta_edges(a: int, bsz: int, c: int) -> tuple[int, list[tuple[int, int]]]:
 
 
 _SPECIAL_INDEX = {Family.FROM_K4: 0, Family.FROM_K4_MINUS_E: 1, Family.FROM_K23: 2}
+# the level of each base of a family less its last vertex, as _nomination_batches proves it
+_BASE_LEVEL = {family: 0 if family is Family.TWO_CYCLES else 1 for family in Family}
 
 
 def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[Batch]:
     """The batches of one family, in nomination order; the batches that add a
-    vertex to one graph share one base."""
+    vertex to one graph share one base.  With level1 from enumerate_level1,
+    each base's last vertex is isolated in it and the base less it has level
+    _BASE_LEVEL[family]: two_cycles' bases are edgeless, and every other
+    family's free pairs join that vertex to a level-1 catalog or special graph.
+    """
     if family in _SPECIAL_INDEX:
         # a new vertex joined to a nonempty subset of a special graph
         special = _specials()[_SPECIAL_INDEX[family]]
@@ -473,7 +483,7 @@ def _gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_survivors(
-    stack: np.ndarray, uv: np.ndarray, zero_tol: float
+    stack: np.ndarray, uv: np.ndarray, zero_tol: float, levels: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The level-2 members of the batches of one shape (rank and free-pair
     count) with base codes stack and free pairs uv, as _stacked gives them:
@@ -500,9 +510,21 @@ def _rank_survivors(
     one-vertex deletion must then fail, decided in one call on the Gram
     matrices of the members left; by interlacing, the full matrix then fails
     too and needs no test of its own.
+
+    levels, if given, is the level of each batch's base less its last
+    vertex v, L, as nomination proves it.  Where it is <= 1, v must be
+    isolated in the base (GraphError otherwise), and no wave-0 row is
+    listed: a deletion keeping no free pair leaves L - x or L - x - y beside
+    v, positive semidefinite.  Where it is 1, every free pair must join v,
+    so a member less v is L, which is not: the one-vertex stage is skipped.
     """
     grams = _grams(stack)
     n, width = grams.shape[-1], uv.shape[1]
+    levels = np.full(len(uv), 2) if levels is None else levels  # level 2 proves nothing
+    stray = (stack[:, -1] != _ABSENT).any(axis=-1) & (levels <= 1)
+    stray |= (uv != n - 1).all(axis=-1).any(axis=-1) & (levels == 1)
+    if stray.any():
+        raise GraphError(f"batch {np.argmax(stray)}: vertex {n - 1} has an edge or misses a pair")
     keeps = np.array(list(combinations(range(n), n - 2)))
     kept = np.zeros((len(keeps), n), dtype=bool)
     kept[np.arange(len(keeps))[:, None], keeps] = True
@@ -510,7 +532,8 @@ def _rank_survivors(
     inside = kept[:, uv].all(axis=-1).transpose(1, 0, 2)
     at = (np.cumsum(kept, axis=1) - 1)[:, uv].transpose(1, 0, 2, 3)
     masks = inside @ (1 << np.arange(width))
-    counts = inside.sum(axis=-1)
+    # the wave of each (batch, deletion); -1, none, for the wave-0 rows a level proves
+    counts = np.where((levels <= 1)[:, None] & ~inside.any(axis=-1), -1, inside.sum(axis=-1))
     ok = _members(uv)
     full = True  # every member alive, until the first kill
     live = None  # the live members' coordinates, once they take no more room than ok
@@ -594,7 +617,11 @@ def _rank_survivors(
     # the members left, in batch order, to the one-vertex stage
     b, *digits = np.nonzero(ok) if live is None else live
     codes = np.stack(digits, axis=-1).astype(np.int8)
-    fails = ~minors_psd(_set_labels(grams[b], uv[b], _ENTRIES[codes]), 1, zero_tol)
+    fails = (levels == 1)[b]
+    if not (levels == 1).all():
+        rest = ~fails
+        stage = _set_labels(grams[b[rest]], uv[b[rest]], _ENTRIES[codes[rest]])
+        fails[rest] = ~minors_psd(stage, 1, zero_tol)
     return b[fails], codes[fails]
 
 
@@ -632,7 +659,8 @@ def _survivors(
     for shape in sorted(set(shapes)):
         idx = np.array([i for i, s in enumerate(shapes) if s == shape])
         stack, uv = _stacked([tagged[i][1] for i in idx])
-        b, codes = _rank_survivors(stack, uv, zero_tol)
+        levels = np.array([_BASE_LEVEL[tagged[i][0]] for i in idx])
+        b, codes = _rank_survivors(stack, uv, zero_tol, levels)
         found.setdefault(shape[0], []).append((idx[b], _set_labels(stack[b], uv[b], codes)))
     ranks = []
     for n in sorted(found):

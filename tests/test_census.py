@@ -169,17 +169,26 @@ def test_catalog_matches_per_candidate_reference(level1, tol):
 
     l0_trees, *rest = _reference_catalog(10, ADMISSIBLE_LABELS, tol)
     want = [*l0_trees.values(), *rest]
-    l0_trees, l1_trees, l1_cycles, l1_tailed = _catalog_level01(10, tol)
-    # the level-0 trees come as label codes, the level-1 graphs keyed by their own keys
+    l0_trees, l1_trees, l1_cycles, l1_tailed, specials = _catalog_level01(10, tol, _specials())
+    # the level-0 trees come as label codes, the level-1 graphs and the specials keyed by their
+    # own keys, the specials in the key searches of the catalog's steps of ranks 4 and 5
     assert all(stack.shape[1:] == (k, k) for k, stack in l0_trees.items())
-    for keyed in (l1_trees, l1_cycles, l1_tailed):
+    for keyed in (l1_trees, l1_cycles, l1_tailed, specials):
         assert list(keyed) == cp.canonical_keys(list(keyed.values()))
+    assert list(specials.values()) == _specials()
     got = [*map(_graphs, l0_trees.values()), l1_trees.values(), l1_cycles.values(),
            l1_tailed.values()]
     assert compact(got) == compact(want)
     got = [cp.to_compact(g) for g in enumerate_level1(10, zero_tol=tol)]
     assert got == [cp.to_compact(g) for g in level1]
     assert len(got) == 96
+
+
+def test_enumerate_level1_up_to_each_rank(level1):
+    """enumerate_level1(n) is the catalog's graphs of rank <= n, in the same
+    order, for every n: a special graph comes with its rank's step or not at all."""
+    for n in range(2, 10):
+        assert enumerate_level1(n) == [g for g in level1 if g.rank <= n]
 
 
 def test_enumerate_level1_validation():
@@ -451,9 +460,9 @@ def test_census_decides_each_shape_once(monkeypatch, level1):
     shapes = []
     decide = census._rank_survivors
 
-    def recording(stack, uv, zero_tol):
+    def recording(stack, uv, zero_tol, levels=None):
         shapes.append((stack.shape[-1], uv.shape[1]))
-        return decide(stack, uv, zero_tol)
+        return decide(stack, uv, zero_tol, levels)
 
     monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1)
     monkeypatch.setattr(census, "_rank_survivors", recording)
@@ -461,11 +470,117 @@ def test_census_decides_each_shape_once(monkeypatch, level1):
     assert len(shapes) == len(set(shapes)) == 23
 
 
+def census_shapes(level1):
+    """The arrays of each shape's batches that enumerate_level2(max_rank=11) nominates, with
+    the level of each base less its last vertex."""
+    tagged = [(f, b) for f in Family for b in _nomination_batches(f, level1)
+              if 5 <= b[0].rank <= 11]
+    for shape in sorted({(base.rank, len(pairs)) for _, (base, pairs) in tagged}):
+        group = [(f, b) for f, b in tagged if (b[0].rank, len(b[1])) == shape]
+        levels = np.array([census._BASE_LEVEL[f] for f, _ in group])
+        yield (*_stacked([b for _, b in group]), levels)
+
+
+def test_levels_change_no_survivor(level1):
+    """For every census shape and each tolerance, _rank_survivors returns the
+    same batches and codes with the levels nomination proves as without them."""
+    shapes = list(census_shapes(level1))
+    assert len(shapes) == 23
+    for stack, uv, levels in shapes:
+        for tol in TOLS:
+            want = _rank_survivors(stack, uv, tol)
+            got = _rank_survivors(stack, uv, tol, levels)
+            assert [(x.dtype, x.tolist()) for x in got] == [(x.dtype, x.tolist()) for x in want]
+
+
+def test_census_recognition_work(monkeypatch, level1):
+    """enumerate_level2(max_rank=11) lists no wave-0 row, one of a deletion
+    that keeps no free pair, for a batch whose base less its last vertex
+    has level <= 1, which every batch's has: its tables decide 16,666 rows
+    in 49 kernel calls, where they decided 21,640 in 73 with the 4,974
+    wave-0 rows.  Only the 4 shapes that hold two_cycles' edgeless bases
+    reach the one-vertex stage, one call each (167 graphs, where 23 calls
+    decided 891)."""
+    shape = []
+    blocks = []  # rows, and rows that keep no free pair, of each block of table rows
+    stage = []  # shape and graphs of each one-vertex stage call
+    decide, kernel, set_labels = census._rank_survivors, census.minors_psd, census._set_labels
+
+    def recording(stack, uv, zero_tol, levels=None):
+        assert (levels <= 1).all()
+        shape[:] = [(stack.shape[-1], uv.shape[1])]
+        return decide(stack, uv, zero_tol, levels)
+
+    def labeling(stack, at, values, mask=None):
+        if mask is not None:  # table rows, with the free pairs each keeps
+            blocks.append((len(mask), int((~mask.any(axis=1)).sum())))
+        return set_labels(stack, at, values, mask)
+
+    def counting(stack, k, zero_tol, **kwargs):
+        if k == 1:
+            stage.append((*shape, len(stack)))
+        return kernel(stack, k, zero_tol, **kwargs)
+
+    monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1)
+    monkeypatch.setattr(census, "_rank_survivors", recording)
+    monkeypatch.setattr(census, "_set_labels", labeling)
+    monkeypatch.setattr(census, "minors_psd", counting)
+    assert len(enumerate_level2(max_rank=11)) == 326
+    assert sum(wave0 for _, wave0 in blocks) == 0
+    assert sum(rows for rows, _ in blocks) <= 16_666 and len(blocks) <= 49
+    edgeless = {(stack.shape[-1], uv.shape[1]) for stack, uv, levels in census_shapes(level1)
+                if (levels == 0).any()}
+    assert sorted(s for s, _ in stage) == sorted(edgeless) and len(edgeless) == 4
+    assert sum(graphs for _, graphs in stage) <= 167
+
+
+def _hyperbolic_beside_a_vertex():
+    """Rank 5: vertex 0 beside the triangle 1-2-3 of bonds 4, which is
+    hyperbolic, and vertex 4, isolated, joined to 0 by the free pair."""
+    four = cp.EdgeLabel(4)
+    return _joined(cp.CoxeterGraph(5, ((1, 2, four), (1, 3, four), (2, 3, four))), 0)
+
+
+@pytest.mark.parametrize(
+    "batch, two_cycles_level, error",
+    [
+        (_joined(cp.CoxeterGraph(5), 0), None, cp.InconsistencyError),
+        (_hyperbolic_beside_a_vertex(), None, cp.InconsistencyError),
+        ((cp.CoxeterGraph(5, ((3, 4, cp.EdgeLabel(3)),)), ((0, 4),)), None, cp.GraphError),
+        (None, 1, cp.GraphError),
+    ],
+    ids=["level 0 as 1", "hyperbolic as 1", "last vertex not isolated", "two_cycles as 1"],
+)
+def test_false_level_cannot_pass_silently(monkeypatch, level1_5, batch, two_cycles_level, error):
+    """A level nomination claims falsely either stops the census or is refused
+    on the arrays: a batch tagged tree whose base less its last vertex is
+    edgeless or hyperbolic, or a base in which that vertex is not isolated,
+    and two_cycles' bases claimed to have level 1.  Without the levels the
+    same nomination gives the census of rank 5."""
+    nominated = census._nomination_batches
+
+    def with_batch(family, level1):
+        yield from nominated(family, level1)
+        if family is Family.TREE and batch is not None:
+            yield batch
+
+    monkeypatch.setattr(census, "enumerate_level1", lambda *args: level1_5)
+    monkeypatch.setattr(census, "_nomination_batches", with_batch)
+    if two_cycles_level is not None:
+        monkeypatch.setitem(census._BASE_LEVEL, Family.TWO_CYCLES, two_cycles_level)
+    message = {cp.InconsistencyError: "recognition accepted", cp.GraphError: "vertex 4 has an edge"}
+    with pytest.raises(error, match=message[error]):
+        enumerate_level2(max_rank=5)
+    decide = census._rank_survivors
+    monkeypatch.setattr(census, "_rank_survivors", lambda stack, uv, tol, _: decide(stack, uv, tol))
+    assert len(enumerate_level2(max_rank=5)) == 189
+
+
 def test_census_key_and_stack_work(monkeypatch):
-    """enumerate_level2(max_rank=11) keys in 18 _token_keys calls (9 catalog
-    steps, the special graphs of ranks 4 and 5, and 7 ranks of survivors),
-    each one _KeySearch, and never calls canonical_keys; each shape's batches
-    become arrays once, 23 _stacked calls."""
+    """enumerate_level2(max_rank=11) keys in 16 _token_keys calls (9 catalog
+    steps, which also key the special graphs of ranks 4 and 5, and 7 ranks
+    of survivors), each one _KeySearch, and never calls canonical_keys; each
+    shape's batches become arrays once, 23 _stacked calls."""
     counts = {"_token_keys": 0, "_KeySearch": 0, "_stacked": 0}
     token_keys, stacked = census._token_keys, census._stacked
 
@@ -488,7 +603,7 @@ def test_census_key_and_stack_work(monkeypatch):
         monkeypatch.setattr(module, "canonical_keys", mock.Mock(side_effect=AssertionError),
                             raising=False)
     assert len(enumerate_level2(max_rank=11)) == 326
-    assert counts == {"_token_keys": 18, "_KeySearch": 18, "_stacked": 23}
+    assert counts == {"_token_keys": 16, "_KeySearch": 16, "_stacked": 23}
 
 
 def test_nomination_counts_at_rank11(level1):

@@ -428,18 +428,18 @@ BAD_TOLS = ["0", "-1", "nan", "inf"]
 @pytest.mark.parametrize(
     "cmd",
     [
-        # the ids keep their numbers from when classify, a BOUNDS case now, was cmd0
-        pytest.param(["roots", "--depth", "2"], id="cmd1"),
+        # the ids keep their numbers from when classify and roots, retired duplicates now,
+        # were cmd0 and cmd1
         pytest.param(["weights", "--length", "1"], id="cmd2"),
         pytest.param(["pack", "--length", "1"], id="cmd3"),
         pytest.param(["tangency", "--length", "1"], id="cmd4"),
     ],
 )
 def test_bad_tol_is_usage_error(graph_file, capsys, tmp_path, fig1a, cmd, tol):
-    """A bad --tol exits 2 and writes nothing; roots and weights reject the flag itself."""
+    """A bad --tol exits 2 and writes nothing; weights rejects the flag itself."""
     out = tmp_path / "out.txt"
     argv = [cmd[0], graph_file(fig1a), *cmd[1:], "--tol", tol, "--out", str(out)]
-    if cmd[0] in ("roots", "weights"):
+    if cmd[0] == "weights":
         with pytest.raises(SystemExit) as exc:
             main(argv)
         code, (stdout, err) = exc.value.code, capsys.readouterr()
