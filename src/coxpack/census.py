@@ -461,17 +461,6 @@ def _nomination_batches(family: Family, level1: list[CoxeterGraph]) -> Iterator[
         raise ValueError(f"unknown family {family!r}")
 
 
-def _gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of every member of the batches of one shape, bitwise
-    their CoxeterGraph.gram, and the members, np.argwhere(_members).
-
-    Tests filter the nomination stacks of each shape with a per-candidate
-    eigvalsh filter as the reference for _rank_survivors.
-    """
-    stack, uv = _stacked(batches)
-    return _grams(_member_codes(stack, uv)), np.argwhere(_members(uv))
-
-
 # ---------------------------------------------------------------------------
 # Recognition: staged, vectorized level-2 filtering.
 # level(g) == 2 is equivalent to: some vertex deletion is not positive

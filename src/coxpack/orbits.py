@@ -127,14 +127,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _zero_tol(vectors: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _zero_tol(vectors: np.ndarray, scale: float) -> np.ndarray:
     """Bound at or below which B(v, alpha_j) counts as zero, per row v of the last axis.
 
     B(v, alpha_j) sums terms of size at most |v|_1 * max|B|, and its
     rounding error grows with them; scaling the bound by that sum keeps
-    the test meaningful on long orbit vectors.
+    the test meaningful on long orbit vectors.  `scale` is max|B|, taken
+    once per walk or descent.
     """
-    return _ZERO_RTOL * np.abs(vectors).sum(axis=-1) * np.abs(b).max()
+    return _ZERO_RTOL * np.abs(vectors).sum(axis=-1) * scale
 
 
 def _orbit_layers(
@@ -158,38 +159,45 @@ def _orbit_layers(
     A point may carry endpoint rows, `ends` of shape (m, k, n), reflected
     along with it, and their weight lengths `lengths` of shape (m, k).  A
     step s_i adds 1 to an endpoint's length when sign * B(endpoint,
-    alpha_i) > 0 and leaves it otherwise; no point with an endpoint longer
-    than max_length is yielded or expanded.  The first layer is yielded
-    even when empty, and the generator stops right after an empty layer;
-    otherwise it is endless, and the caller stops it.
+    alpha_i) > 0 and leaves it otherwise; with max_length, which needs
+    ends, no point with an endpoint longer than it is yielded or expanded.
+    A plain walk, with no ends, yields None for ends and lengths.  The
+    first layer is yielded even when empty, and the generator stops right
+    after an empty layer; otherwise it is endless, and the caller stops it.
     """
+    # v @ sb is sign * (v @ b), and v @ nsb its negation, bit for bit
+    sb, nsb, scale = sign * b, -sign * b, np.abs(b).max()
     layer = np.array(start, dtype=float)
     colors = np.arange(len(layer))
-    if ends is None:
-        ends, lengths = np.empty((len(layer), 0, len(b))), np.empty((len(layer), 0))
-    ends, lengths = np.array(ends, dtype=float), np.array(lengths, dtype=int)
+    tol = _zero_tol(layer, scale)  # a row's bound, carried along with it
+    if ends is not None:
+        ends, lengths = np.array(ends, dtype=float), np.array(lengths, dtype=int)
     while True:
         if max_length is not None:
             ok = (lengths <= max_length).all(axis=1)
-            layer, colors, ends, lengths = layer[ok], colors[ok], ends[ok], lengths[ok]
+            layer, colors, tol, ends, lengths = (
+                a.compress(ok, axis=0) for a in (layer, colors, tol, ends, lengths)
+            )
         yield layer, colors, ends, lengths
         if not len(layer):
             return
-        u = sign * (layer @ b)
-        rows, cols = np.nonzero(u > _zero_tol(layer, b)[:, None])
+        u = layer @ sb
+        up = u > tol[:, None]
+        rows, cols = up.nonzero()
         k = np.arange(len(rows))
-        children = layer[rows]
-        children[k, cols] -= (2.0 * sign) * u[rows, cols]
-        descents = sign * (children @ b) < -_zero_tol(children, b)[:, None]
+        children = layer.take(rows, axis=0)
+        children[k, cols] -= (2.0 * sign) * u[up]
+        tol = _zero_tol(children, scale)
+        descents = children @ nsb > tol[:, None]  # sign * B(child, alpha_j) < -tol
         descents[k, cols] = True  # exact: sign * B(s_i v, alpha_i) = -u_i < 0
         keep = descents.argmax(axis=1) == cols
-        rows, cols, layer = rows[keep], cols[keep], children[keep]
-        colors, ends, lengths = colors[rows], ends[rows], lengths[rows]
-        if ends.shape[1]:
-            ue = sign * np.einsum("mkn,nm->mk", ends, b[:, cols])
-            lengths += ue > _zero_tol(ends, b)
-            m = np.arange(len(rows))[:, None]
-            ends[m, np.arange(ends.shape[1]), cols[:, None]] -= (2.0 * sign) * ue
+        rows, cols = rows.compress(keep), cols.compress(keep)
+        layer, tol, colors = children.compress(keep, axis=0), tol.compress(keep), colors.take(rows)
+        if ends is not None:
+            ends, lengths = ends.take(rows, axis=0), lengths.take(rows, axis=0)
+            ue = np.einsum("mkn,nm->mk", ends, sb[:, cols])
+            lengths += ue > _zero_tol(ends, scale)
+            ends[k[: len(rows)], :, cols] -= (2.0 * sign) * ue
 
 
 def _walk(
@@ -197,19 +205,22 @@ def _walk(
 ):
     """The first `count` layers of _orbit_layers (all of them for None), stacked.
 
-    Returns the vectors, colors, ends, lengths and each row's layer index.
-    The walk yields at least one layer, so with count >= 1 the columns keep
-    their shapes when empty.  OrbitCapError once `total` plus the rows
-    exceed max_records.
+    Returns the vectors, colors, ends, lengths and each row's layer index;
+    a plain walk's ends and lengths have no columns.  The walk yields at
+    least one layer, so with count >= 1 the columns keep their shapes when
+    empty.  OrbitCapError once `total` plus the rows exceed max_records.
     """
     columns = []
-    layers = _orbit_layers(b, start, sign, ends, lengths, max_length)
-    for k, (layer, *rest) in enumerate(islice(layers, count)):
-        total += len(layer)
+    for layer in islice(_orbit_layers(b, start, sign, ends, lengths, max_length), count):
+        total += len(layer[0])
         if max_records is not None and total > max_records:
             raise OrbitCapError(what, max_records)
-        columns.append((layer, *rest, np.full(len(layer), k)))
-    return tuple(np.concatenate(column) for column in zip(*columns))
+        columns.append(layer if ends is not None else layer[:2])
+    sizes = [len(layer[0]) for layer in columns]
+    vectors, colors, *rest = (np.concatenate(column) for column in zip(*columns))
+    if ends is None:
+        rest = np.empty((len(vectors), 0, len(b))), np.empty((len(vectors), 0), dtype=int)
+    return vectors, colors, *rest, np.repeat(np.arange(len(sizes)), sizes)
 
 
 def _descent_words(b: np.ndarray, vectors: np.ndarray, steps: int) -> np.ndarray:
@@ -221,20 +232,20 @@ def _descent_words(b: np.ndarray, vectors: np.ndarray, steps: int) -> np.ndarray
     fundamental weight to v, read backwards, so two weights of one color
     are equal exactly when their words are.
     """
-    v = np.array(vectors, dtype=float)
-    words = np.full((len(v), steps), -1, dtype=np.int16)
-    active = np.arange(len(v))
+    nb, scale = -b, np.abs(b).max()
+    rows = np.array(vectors, dtype=float)  # the rows not yet dominant, reflected so far
+    words = np.full((len(rows), steps), -1, dtype=np.int16)
+    active = r = np.arange(len(rows))
     for k in range(steps):
-        rows = v[active]
-        u = rows @ b
-        neg = u < -_zero_tol(rows, b)[:, None]
+        w = rows @ nb  # -B(v, alpha_.), bit for bit
+        neg = w > _zero_tol(rows, scale)[:, None]
         down = neg.any(axis=1)
-        active, u, neg = active[down], u[down], neg[down]
+        active, rows, w, neg = (a.compress(down, axis=0) for a in (active, rows, w, neg))
         if not len(active):
             break
         j = neg.argmax(axis=1)
         words[active, k] = j
-        v[active, j] -= 2.0 * u[np.arange(len(active)), j]
+        rows[r[: len(active)], j] += 2.0 * w[r[: len(active)], j]
     return words
 
 

@@ -113,12 +113,12 @@ def classify_weight_norm(
     return _ROLES[(norm <= _TANGENCY_TOL) + 2 * (abs(norm - 1.0) <= _TANGENCY_TOL)]
 
 
-def _vertex_keys(b: np.ndarray, colors: np.ndarray, vectors: np.ndarray, steps: int) -> list:
-    """Bytes of each weight row's color and canonical descent word, cut at `steps` letters.
+def _vertex_keys(colors: np.ndarray, words: np.ndarray) -> list:
+    """Bytes of each weight's color and canonical descent word (_descent_words).
 
     Weights of one color are equal exactly when their keys are, if no word is cut.
     """
-    keys = np.column_stack([colors, _descent_words(b, vectors, steps)])
+    keys = np.column_stack([colors, words])
     return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
 
 
@@ -150,9 +150,19 @@ def chambers_up_to_length(
     elements = ends.transpose(0, 2, 1) @ b
     ends, lengths, steps = ends.reshape(-1, n), lengths.ravel(), max_length + 1
 
+    # w(alpha_i) is a root, negative (all coordinates <= 0) exactly when w s_i
+    # is shorter than w; w s_i rho = w rho - 2 w(alpha_i)
+    upper, gens = np.nonzero(elements.sum(axis=1) < 0)
+    lower = points[upper] - 2.0 * elements[upper, :, gens]
+    # one descent keys the vertices, the chambers and the chambers below them;
+    # the walk points are one weight orbit, of color 0, keyed like vertices
+    words = _descent_words(b, np.concatenate([ends, points, lower]), steps)
+    keys = _vertex_keys(np.concatenate([np.arange(len(ends)) % n, colors, colors[upper]]), words)
+    cut, end = len(ends), len(ends) + len(points)
+    words = words[cut:end]
+
     index: dict[bytes, int] = {}
-    keys = _vertex_keys(b, np.tile(np.arange(n), len(points)), ends, steps)
-    ids = np.array([index.setdefault(key, len(index)) for key in keys]).reshape(-1, n)
+    ids = np.array([index.setdefault(key, len(index)) for key in keys[:cut]]).reshape(-1, n)
     first = np.unique(ids, return_index=True)[1]
     rows = zip((first % n).tolist(), _frozen(ends[first]), lengths[first].tolist())
     norms = fund_norms.tolist()
@@ -161,17 +171,11 @@ def chambers_up_to_length(
         ComplexVertex(i, c, vec, ell, norms[c], roles[c]) for i, (c, vec, ell) in enumerate(rows)
     )
 
-    # the walk points are one weight orbit, of color 0, keyed like vertices
-    chamber_of = {key: i for i, key in enumerate(_vertex_keys(b, colors, points, steps))}
-    # w(alpha_i) is a root, negative (all coordinates <= 0) exactly when w s_i
-    # is shorter than w; w s_i rho = w rho - 2 w(alpha_i)
-    upper, gens = np.nonzero(elements.sum(axis=1) < 0)
-    lower = _vertex_keys(b, colors[upper], points[upper] - 2.0 * elements[upper, :, gens], steps)
+    chamber_of = {key: i for i, key in enumerate(keys[cut:end])}
     adjacency: list[dict[int, int]] = [{} for _ in points]
-    for w, i, key in zip(upper.tolist(), gens.tolist(), lower):
+    for w, i, key in zip(upper.tolist(), gens.tolist(), keys[end:]):
         adjacency[w][i] = chamber_of[key]
         adjacency[chamber_of[key]][i] = w
-    words = _descent_words(b, points, steps)
     sizes = (words >= 0).sum(axis=1).tolist()
     chambers = tuple(
         Chamber(element, tuple(word[:k]), tuple(row))
@@ -215,7 +219,7 @@ def tangency_graph(
     b = g.gram
     n = g.rank
     fund, norms = fundamental_weights(b)
-    roles = [classify_weight_norm(x, level2=True) for x in norms.tolist()]
+    roles = classify_weight_norm(norms, level2=True).tolist()
     colors = np.array([s for s in range(n) if roles[s] is not VertexClass.IMAGINARY], dtype=int)
 
     vectors, c, _, _, vlengths = _walk(
@@ -245,11 +249,13 @@ def tangency_graph(
         starts, start_lengths, max_length, total=len(vectors),
     )
 
-    # an endpoint is the vertex with its color and canonical descent word
+    # an endpoint is the vertex with its color and canonical descent word;
+    # one descent keys the vertices and the endpoints
     ecolors = np.array(end_colors, dtype=int).reshape(-1, 2)[kinds].ravel()
-    ekeys = _vertex_keys(b, ecolors, ends.reshape(-1, n), max_length + 1)
-    index = {key: i for i, key in enumerate(_vertex_keys(b, vcolors, vectors, max_length + 1))}
-    ids = np.array([index.get(key, -1) for key in ekeys], dtype=int).reshape(-1, 2)
+    words = _descent_words(b, np.concatenate([vectors, ends.reshape(-1, n)]), max_length + 1)
+    keys = _vertex_keys(np.concatenate([vcolors, ecolors]), words)
+    index = {key: i for i, key in enumerate(keys[: len(vectors)])}
+    ids = np.array([index.get(key, -1) for key in keys[len(vectors) :]], dtype=int).reshape(-1, 2)
     if (ids < 0).any() or (vlengths[ids] != lengths).any():
         raise InconsistencyError("a tangency edge endpoint is not a vertex of its length")
 

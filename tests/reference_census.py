@@ -14,6 +14,8 @@ a time (labeled builds one), the reference for the label-code stacks the
 census decides and keys.
 pivots_positive is the Cholesky screen as forms._pivots_positive ran it on
 matrix-major (m, n, n) stacks, the reference for its entry-major layout.
+gram_stack gives the Gram matrices of every member of a list of batches,
+the input of the per-candidate filters.
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ from typing import Iterator
 
 import numpy as np
 
-from coxpack.census import ADMISSIBLE_LABELS, Family, _nomination_batches
+from coxpack.census import (
+    ADMISSIBLE_LABELS,
+    Batch,
+    Family,
+    _grams,
+    _member_codes,
+    _members,
+    _nomination_batches,
+    _stacked,
+)
 from coxpack.graphs import CoxeterGraph, EdgeLabel
 
 # token used for an absent edge; sorts after every real label
@@ -34,6 +45,17 @@ def labeled(base: CoxeterGraph, pairs, codes) -> CoxeterGraph:
     """The batch member that gives free pair i the label ADMISSIBLE_LABELS[codes[i]]."""
     edges = tuple((u, v, EdgeLabel(ADMISSIBLE_LABELS[c])) for (u, v), c in zip(pairs, codes))
     return CoxeterGraph(base.rank, base.edges + edges)
+
+
+def gram_stack(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of every member of the batches of one shape, bitwise
+    their CoxeterGraph.gram, and the members, np.argwhere(census._members).
+
+    Tests filter the nomination stacks of each shape with a per-candidate
+    eigvalsh filter as the reference for census._rank_survivors.
+    """
+    stack, uv = _stacked(batches)
+    return _grams(_member_codes(stack, uv)), np.argwhere(_members(uv))
 
 
 def nominate(family: Family, level1: list[CoxeterGraph], ranks=None) -> Iterator[CoxeterGraph]:

@@ -20,7 +20,6 @@ from coxpack.census import (
     Family,
     _catalog_level01,
     _code_stack,
-    _gram_stack,
     _graphs,
     _grown,
     _is_cycle,
@@ -38,7 +37,14 @@ from coxpack.census import (
     enumerate_level1,
     enumerate_level2,
 )
-from reference_census import canonical_key, filter_level2, filter_level2_arrays, labeled, nominate
+from reference_census import (
+    canonical_key,
+    filter_level2,
+    filter_level2_arrays,
+    gram_stack,
+    labeled,
+    nominate,
+)
 
 
 @functools.cache
@@ -248,7 +254,7 @@ def test_gram_stacks_match_nominate(level1_5, survivors_6, family):
     for shape in sorted({(base.rank, len(pairs)) for base, pairs in batches}):
         group = [i for i, (base, pairs) in enumerate(batches) if (base.rank, len(pairs)) == shape]
         want = [g.gram for i in group for g in graphs[first[i] : first[i + 1]]]
-        got, _ = _gram_stack([batches[i] for i in group])
+        got, _ = gram_stack([batches[i] for i in group])
         assert got.shape == (len(want), shape[0], shape[0])
         assert got.tobytes() == np.stack(want).tobytes()
     # survivors rebuilt from their label codes are the same graphs, rank by rank in the same order
@@ -301,7 +307,7 @@ def test_batch_survivors_match_reference_filter(data):
     radix = len(ADMISSIBLE_LABELS)
     rows = table_rows(batches)
     chunk = data.draw(st.integers(1, rows - 1), label="block rows")
-    grams, _ = _gram_stack(batches)
+    grams, _ = gram_stack(batches)
     first = np.cumsum([0] + [radix ** len(pairs) for _, pairs in batches])
     decided = []
     kernel = census.minors_psd
@@ -340,7 +346,7 @@ def test_empty_batch_sends_no_rows_to_one_vertex_stage(monkeypatch):
     four = cp.EdgeLabel(4)
     empty = (cp.CoxeterGraph(5, ((2, 3, four), (2, 4, four), (3, 4, four))), ((0, 1), (0, 2)))
     live = _joined(_grown(_specials()[0]), 0, 1)
-    left = int(minors_psd(_gram_stack([live])[0], 2, 1e-3).sum())
+    left = int(minors_psd(gram_stack([live])[0], 2, 1e-3).sum())
     assert left
 
     monkeypatch.setattr(census, "minors_psd", counting)
@@ -643,7 +649,7 @@ def test_gram_stack_rejects_malformed_batch(monkeypatch, pairs, message):
     with pytest.raises(cp.GraphError, match=message.replace("batch 0", "batch 1")):
         _stacked([good, (base, pairs)])
     with pytest.raises(cp.GraphError, match=message):
-        _gram_stack([(base, pairs)])
+        gram_stack([(base, pairs)])
 
 
 @pytest.mark.parametrize("ranks, widths", [((5, 6), (1, 1)), ((5, 5), (1, 2))])

@@ -105,6 +105,49 @@ def test_enum_checks_its_outputs_before_the_census(capsys, tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
 
 
+def _entry(g, key=b"k"):
+    from coxpack import census
+
+    return census.CensusEntry(g, key, census.Family.CYCLE, False, 0, g.rank, 0)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (
+            [_entry(cp.cycle_graph([4] * 5)), _entry(cp.cycle_graph([5] * 5))],
+            "duplicate canonical keys",
+        ),
+        ([_entry(cp.cycle_graph([4] * 4))], "rank 4 outside 5..6"),
+        ([_entry(cp.cycle_graph([4] * 7))], "rank 7 outside 5..6"),
+        ([_entry(cp.cycle_graph([4, 4, 4, 4, 7]))], "label outside {3,4,5,6}"),
+    ],
+    ids=["duplicate key", "rank below 5", "rank above max", "label 7"],
+)
+def test_enum_rechecks_census_invariants(capsys, tmp_path, monkeypatch, entries, message):
+    """A census that breaks an invariant exits 7 and writes no CSV."""
+    from coxpack import census
+
+    monkeypatch.setattr(census, "enumerate_level2", lambda **_: entries)
+    out = tmp_path / "census.csv"
+    code, stdout, err = run(capsys, ["enum", "--max-rank", "6", "--out", str(out)])
+    assert code == 7 and not stdout
+    assert err == f"invariant failure: {message}\n"
+    assert not out.exists()
+
+
+def test_classify_singular_form(graph_file, capsys):
+    """An affine form has no fundamental weights: text and JSON say so."""
+    affine = graph_file(cp.cycle_graph([3, 3, 3]))  # A~2
+    code, out, _ = run(capsys, ["classify", affine])
+    assert code == 0 and "type: affine" in out
+    assert out.endswith("weights: undefined (singular form)\n")
+    code, out, _ = run(capsys, ["classify", affine, "--format", "json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["type"] == "affine" and doc["weights"] is None
+    assert '"weights": null' in out
+
+
 def test_cached_parser_runs_a_replaced_command(graph_file, capsys, monkeypatch, universal4):
     """main builds its parser once, and finds cmd_<command> in the module at each call."""
     from coxpack import cli
